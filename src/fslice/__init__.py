@@ -7,9 +7,11 @@ piece of the program that cannot influence the selected parts of the
 result, replacing it with a hole.
 
 Two modes are provided. The direct mode solves a demand-flow grammar per
-criterion. The incremental mode precomputes one small automaton per program
-point; after that, slicing under any criterion is a per-point regular
-intersection, which is what makes repeated slicing cheap.
+criterion. The incremental mode precomputes one small minimal DFA per
+program point, all read off one subset construction shared by the whole
+program, and points with equal languages share one automaton; after that,
+slicing under any criterion is one regular intersection per distinct
+automaton, which is what makes repeated slicing cheap.
 """
 
 from .lang import (

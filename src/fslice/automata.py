@@ -207,6 +207,41 @@ class Nfa:
                 m.add(cid, sym, ids[nxt])
         return m
 
+    def minimize(self) -> "Nfa":
+        """Moore partition refinement of a deterministic automaton.
+
+        Missing moves go to an implicit non-accepting sink, so the result is
+        the minimal complete DFA; ``trim`` then drops its dead state.
+        """
+        alphabet = sorted(self.symbols())
+        sink = self.n
+        delta = []
+        for q in range(self.n):
+            row = []
+            for sym in alphabet:
+                dsts = self.succ(q, sym)
+                if len(dsts) > 1 or self.succ(q, EPS):
+                    raise ValueError("minimize needs a deterministic automaton")
+                row.append(next(iter(dsts)) if dsts else sink)
+            delta.append(row)
+        delta.append([sink] * len(alphabet))
+        block = [int(q in self.finals) for q in range(self.n)] + [0]
+        count = len(set(block))
+        while True:
+            sigs: dict[tuple, int] = {}
+            block = [sigs.setdefault((block[q], *(block[r] for r in row)),
+                                     len(sigs))
+                     for q, row in enumerate(delta)]
+            if len(sigs) == count:
+                break
+            count = len(sigs)
+        m = Nfa(count, block[self.start])
+        m.finals = {block[q] for q in self.finals}
+        for q, row in enumerate(delta):
+            for sym, r in zip(alphabet, row):
+                m.add(block[q], sym, block[r])
+        return m
+
     def complement(self, alphabet) -> "Nfa":
         d = self.determinize(alphabet)
         d.finals = set(range(d.n)) - d.finals

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Commands: ``slice`` (one criterion, either pipeline), ``precompute`` (write
-the per-point automata artifact), ``query`` (answer point membership from an
-artifact), ``bench`` (timing table over a corpus), ``firstify`` (lower a
-higher-order program), and ``run`` (execute a program, mainly for inspecting
-residuals).
+the artifact of per-point completing automata), ``query`` (answer point
+membership from an artifact), ``bench`` (timing table over a corpus),
+``firstify`` (lower a higher-order program), and ``run`` (execute a
+program, mainly for inspecting residuals).
 
 Exit codes: 0 success, 1 usage or I/O problem, 2 analysis error (parse,
 validation, criterion, firstification), 3 artifact mismatch.
@@ -106,7 +106,9 @@ def _cmd_precompute(args) -> int:
     art = precompute(p)
     out = args.output or (args.program + ".fsa.json")
     save_artifact(art, out)
-    print(f"wrote {out} ({len(art.automata)} automata)", file=sys.stderr)
+    distinct = len({id(m) for m in art.automata.values()})
+    print(f"wrote {out} ({len(art.automata)} points, {distinct} distinct "
+          f"automata)", file=sys.stderr)
     return 0
 
 
@@ -140,7 +142,9 @@ def _cmd_firstify(args) -> int:
     from .firstify import firstify
     p = _load_program(args.program, higher_order=True)
     fo, smap = firstify(p)
-    _write_or_print(print_program(fo, annotate=args.annotate), args.output)
+    # the map names points by label, so its program must carry them
+    annotate = args.annotate or bool(args.map)
+    _write_or_print(print_program(fo, annotate=annotate), args.output)
     if args.map:
         doc = {label_name(k): [label_name(v) for v in vs]
                for k, vs in sorted(smap.items())}
@@ -203,7 +207,8 @@ def build_parser() -> _Parser:
     fp = sub.add_parser("firstify", help="lower a higher-order program")
     fp.add_argument("program")
     fp.add_argument("-o", "--output")
-    fp.add_argument("--map", help="write the specialization map as JSON")
+    fp.add_argument("--map", help="write the specialization map as JSON "
+                    "(implies --annotate)")
     fp.add_argument("--annotate", action="store_true",
                     help="print labels on the firstified program")
     fp.set_defaults(fn=_cmd_firstify)

@@ -221,23 +221,25 @@ def iter_labeled(p: Program):
     kind is one of "expr", "app", "occ". Pre-order means: expression first,
     then for a return/if its occurrence, then subexpressions; for a let the
     right-hand side application, its argument occurrences, then the body.
+    The walk keeps an explicit stack, so each node costs O(1) however deep
+    the nesting.
     """
-    def walk(e: Expr):
-        yield (e.label, "expr", e)
-        if isinstance(e, Return):
-            yield (e.value.label, "occ", e.value)
-        elif isinstance(e, If):
-            yield (e.guard.label, "occ", e.guard)
-            yield from walk(e.then)
-            yield from walk(e.orelse)
-        elif isinstance(e, Let):
-            yield (e.rhs.label, "app", e.rhs)
-            for occ in app_occs(e.rhs):
-                yield (occ.label, "occ", occ)
-            yield from walk(e.body)
-
     for d in p.defs:
-        yield from walk(d.body)
+        stack: list[Expr] = [d.body]
+        while stack:
+            e = stack.pop()
+            yield (e.label, "expr", e)
+            if isinstance(e, Return):
+                yield (e.value.label, "occ", e.value)
+            elif isinstance(e, If):
+                yield (e.guard.label, "occ", e.guard)
+                stack.append(e.orelse)
+                stack.append(e.then)
+            elif isinstance(e, Let):
+                yield (e.rhs.label, "app", e.rhs)
+                for occ in app_occs(e.rhs):
+                    yield (occ.label, "occ", occ)
+                stack.append(e.body)
 
 
 def all_labels(p: Program) -> list[int]:

@@ -29,9 +29,10 @@ Pipeline pieces, in the order the slicer uses them:
   source accepting); canonicalization keeps 2 and instead intersects with
   the (0+1+2)*(0̄+1̄)* shape, leaving exactly the normal forms.
 
-* ``create_completing_automaton`` reverses the bar suffixes of a canonical
-  automaton into plain selector strings: the language of minimal selector
-  paths a criterion must contain for the point to stay in the slice.
+The completing automata of the incremental pipeline (the reversed bar
+suffixes of every point's canonical language, as plain selector strings)
+are built in ``slicer.precompute`` from one subset construction shared by
+all points, not per point from ``canonicalize_nfa``.
 """
 
 from __future__ import annotations
@@ -46,16 +47,8 @@ from .lang import FsliceError
 _SEL_FOR_BAR = {BAR0: SEL0, BAR1: SEL1}
 
 
-class NotCanonical(FsliceError):
-    pass
-
-
 class NotStronglyRegular(FsliceError):
     pass
-
-
-class CompletingAutomaton(Nfa):
-    """An Nfa over selectors only, produced from a canonical automaton."""
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +426,22 @@ def _with_cancel(m: Nfa) -> Nfa:
 # Simplification and canonicalization, lifted to automata
 # ---------------------------------------------------------------------------
 
-def tail_states(m: Nfa, finals: set[int] | None = None) -> set[int]:
+def tail_states(m: Nfa, eps_pairs=()) -> set[int]:
     """States from which the rest of the input can erase completely.
 
     A state tails if, moving only over selector and epsilon edges, it can
     reach acceptance or a 2-edge whose target tails again. These are the
     positions where a string may stop contributing demand: selectors read
     after them are absorbed by a following 2, per the 2-rules.
+    ``eps_pairs`` are extra epsilon edges (p, q), such as the cancellation
+    pairs of ``m``, so callers need not copy the automaton to add them.
     """
-    finals = m.finals if finals is None else finals
     back: dict[int, set[int]] = {}
     for p, sym, q in m.edges():
         if sym in (SEL0, SEL1, EPS):
             back.setdefault(q, set()).add(p)
+    for p, q in eps_pairs:
+        back.setdefault(q, set()).add(p)
     two_edges = [(p, q) for p, sym, q in m.edges() if sym == TWO]
 
     def back_closure(seed: set[int]) -> set[int]:
@@ -459,7 +455,7 @@ def tail_states(m: Nfa, finals: set[int] | None = None) -> set[int]:
                     todo.append(r)
         return seen
 
-    tails = back_closure(set(finals))
+    tails = back_closure(set(m.finals))
     while True:
         fresh = {p for p, q in two_edges if q in tails and p not in tails}
         if not fresh:
@@ -515,64 +511,8 @@ def canonicalize_nfa(m: Nfa) -> Nfa:
     return intersect(_with_cancel(m), _shape_nfa()).trim()
 
 
-def is_canonical_nfa(m: Nfa) -> bool:
-    """Structural shape check: no selector or 2 edge after a bar edge."""
-    t = m.trim()
-    after_bar = {q for _, sym, q in t.edges() if sym in _SEL_FOR_BAR}
-    todo = list(after_bar)
-    while todo:
-        q = todo.pop()
-        for sym, dsts in t.trans.get(q, {}).items():
-            if sym in (SEL0, SEL1, TWO):
-                return False
-            for r in dsts:
-                if r not in after_bar:
-                    after_bar.add(r)
-                    todo.append(r)
-    return True
-
-
-def create_completing_automaton(a: Nfa) -> CompletingAutomaton:
-    """Selector automaton of the completions a canonical automaton demands.
-
-    The frontier is every state reachable from the start without crossing a
-    bar; those are the points where a canonical string's plain prefix ends.
-    Bar edges are reversed and unbarred (a pending 0̄ is completed by
-    reading 0), epsilon edges are reversed along with them, and a fresh
-    start feeds the old finals. A criterion keeps the point alive exactly
-    when it contains one of these completion strings.
-    """
-    a = a.trim()
-    if not is_canonical_nfa(a):
-        raise NotCanonical("completing automata need a canonical input")
-    frontier = {a.start}
-    todo = [a.start]
-    while todo:
-        q = todo.pop()
-        for sym, dsts in a.trans.get(q, {}).items():
-            if sym in (SEL0, SEL1, TWO, EPS):
-                for r in dsts:
-                    if r not in frontier:
-                        frontier.add(r)
-                        todo.append(r)
-    c = Nfa(a.n + 1, a.n)
-    for p, sym, q in a.edges():
-        if sym in _SEL_FOR_BAR:
-            c.add(q, _SEL_FOR_BAR[sym], p)
-        elif sym == EPS:
-            c.add(q, EPS, p)
-    for f in a.finals:
-        c.add(c.start, EPS, f)
-    c.finals = frontier
-    t = c.trim()
-    out = CompletingAutomaton(t.n, t.start)
-    out.finals = t.finals
-    out.trans = t.trans
-    return out
-
-
 def intersect_nonempty(a: Nfa, crit: Nfa) -> bool:
-    """Does the completing language meet the criterion anywhere?"""
+    """Does the automaton's language meet the criterion anywhere?"""
     return _nonempty(a, crit)
 
 

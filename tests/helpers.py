@@ -66,16 +66,18 @@ def criterion_strings(crit: Nfa, maxlen: int = 6) -> set[tuple]:
     return crit.enumerate_upto(maxlen)
 
 
-def check_soundness(original, residual, crit: Nfa, maxlen: int = 6) -> list:
+def check_soundness(original, residual, crit: Nfa, maxlen: int = 6, *,
+                    runner=run) -> list:
     """Original and residual must agree on every demanded projection.
 
     Returns a list of failure descriptions; empty means sound. The residual
     must run to completion (in particular, never inspect a hole) and then
-    observe identically at every path the criterion demands.
+    observe identically at every path the criterion demands. ``runner``
+    evaluates a program; higher-order programs need ``ho_eval.ho_run``.
     """
-    ro = run(original)
+    ro = runner(original)
     try:
-        rr = run(residual)
+        rr = runner(residual)
     except InterpError as exc:
         return [f"residual failed to run: {exc}"]
     failures = []

@@ -5,13 +5,19 @@ shipped code: simplification and canonicalization are run as exhaustive
 string rewriting (any redex, breadth-first, with a confluence assertion),
 and the language-level operations are plain set computations on bounded
 enumerations. Slow is fine; these never ship.
+
+``create_completing_automaton`` builds one point's completing automaton
+straight from that point's canonical automaton: the reference every
+automaton ``slicer.precompute`` stores must be equivalent to.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from fslice.automata import EPS, Nfa
 from fslice.demand import BAR0, BAR1, END, SEL0, SEL1, TWO
+from fslice.lang import FsliceError
 
 SELECTORS = (SEL0, SEL1)
 ALPHABET = (SEL0, SEL1, BAR0, BAR1, TWO)
@@ -140,3 +146,66 @@ def enumerate_prefix_closed(maxlen: int):
         for right in subs:
             yield frozenset({()}) | left0 | frozenset(
                 (SEL1,) + s for s in right)
+
+
+# ---------------------------------------------------------------------------
+# Per-point completing automata
+# ---------------------------------------------------------------------------
+
+_SEL_FOR_BAR = {BAR0: SEL0, BAR1: SEL1}
+
+
+class NotCanonical(FsliceError):
+    pass
+
+
+def is_canonical_nfa(m: Nfa) -> bool:
+    """Structural shape check: no selector or 2 edge after a bar edge."""
+    t = m.trim()
+    after_bar = {q for _, sym, q in t.edges() if sym in _SEL_FOR_BAR}
+    todo = list(after_bar)
+    while todo:
+        q = todo.pop()
+        for sym, dsts in t.trans.get(q, {}).items():
+            if sym in (SEL0, SEL1, TWO):
+                return False
+            for r in dsts:
+                if r not in after_bar:
+                    after_bar.add(r)
+                    todo.append(r)
+    return True
+
+
+def create_completing_automaton(a: Nfa) -> Nfa:
+    """Selector automaton of the completions a canonical automaton demands.
+
+    The frontier is every state reachable from the start without crossing a
+    bar; those are the points where a canonical string's plain prefix ends.
+    Bar edges are reversed and unbarred (a pending 0̄ is completed by
+    reading 0), epsilon edges are reversed along with them, and a fresh
+    start feeds the old finals. A criterion keeps the point alive exactly
+    when it contains one of these completion strings.
+    """
+    a = a.trim()
+    if not is_canonical_nfa(a):
+        raise NotCanonical("completing automata need a canonical input")
+    frontier = {a.start}
+    todo = [a.start]
+    while todo:
+        q = todo.pop()
+        for sym, dsts in a.trans.get(q, {}).items():
+            if sym in (SEL0, SEL1, TWO, EPS):
+                for r in dsts:
+                    if r not in frontier:
+                        frontier.add(r)
+                        todo.append(r)
+    c = Nfa(a.n + 1, a.n)
+    for p, sym, q in a.edges():
+        if sym in _SEL_FOR_BAR:
+            c.add(q, _SEL_FOR_BAR[sym], p)
+        elif sym == EPS:
+            c.add(q, EPS, p)
+    for f in a.finals:
+        c.add(c.start, EPS, f)
+    c.finals = frontier
+    return c.trim()

@@ -1,5 +1,6 @@
 """NFA toolkit tests against plain set semantics on bounded enumerations."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -125,3 +126,31 @@ def test_copy_is_deep_enough():
     c.add(c.start, SEL1, next(iter(c.finals)))
     assert not m.accepts((SEL1,))
     assert c.accepts((SEL1,))
+
+
+@given(string_sets)
+def test_minimize_preserves_language_and_is_minimal(strings):
+    dfa = from_strings(strings).determinize(AB)
+    m = dfa.minimize()
+    assert equivalent(m, dfa, AB)
+    # a second pass finds nothing left to merge
+    assert m.minimize().n == m.n
+    # equal languages give the same trimmed, renumbered automaton
+    other = union(from_strings(strings), from_strings(strings))
+    n = other.determinize(AB).minimize().trim().renumbered()
+    t = m.trim().renumbered()
+    assert (n.n, n.start, n.finals, sorted(n.edges())) == \
+        (t.n, t.start, t.finals, sorted(t.edges()))
+
+
+def test_minimize_merges_equivalent_states_and_needs_a_dfa():
+    m = Nfa(4, 0)
+    m.add(0, SEL0, 1)
+    m.add(0, SEL1, 2)
+    m.add(1, SEL0, 3)
+    m.add(2, SEL0, 3)
+    m.finals = {3}
+    assert m.minimize().trim().n == 3
+    m.add(0, SEL0, 2)
+    with pytest.raises(ValueError):
+        m.minimize()

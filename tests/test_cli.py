@@ -10,10 +10,14 @@ import pytest
 
 from fslice.cli import main
 from fslice.criteria import parse_criterion
-from fslice.lang import all_labels, label_name, print_program
-from fslice.slicer import slice_noninc
+from fslice.firstify import map_back
+from fslice.lang import (all_labels, label_name, parse_label_name,
+                         parse_program, print_program)
+from fslice.slicer import extract_residual, slice_noninc
 
 from conftest import corpus_paths, golden, ho_paths, load
+from helpers import check_soundness
+from ho_eval import ho_run
 
 CORPUS = Path(__file__).parent / "corpus"
 LCC = CORPUS / "lcc.fsl"
@@ -212,6 +216,55 @@ def test_garbage_artifact_is_a_mismatch(capsys, tmp_path):
     assert code == 3
 
 
+def _tampered(lcc_artifact, tmp_path, edit):
+    doc = json.loads(lcc_artifact.read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _pi1(edit):
+    return lambda doc: edit(doc["automata"]["pi1"])
+
+
+@pytest.mark.parametrize("edit", [
+    _pi1(lambda m: m["trans"].append([m["start"], "0", 99999])),
+    _pi1(lambda m: m.update(states=[1] + m["states"][1:])),
+    _pi1(lambda m: m.update(start=len(m["states"]))),
+    _pi1(lambda m: m["finals"].append(-1)),
+    _pi1(lambda m: m["trans"].append([0, "0b", 0])),
+    _pi1(lambda m: m["trans"].append([0, "eps", 0])),
+    _pi1(lambda m: m["trans"].extend([[0, "1", 0], [0, "1", 0]])),
+], ids=["target-out-of-range", "states-not-dense", "start-out-of-range",
+        "final-out-of-range", "bar-symbol", "epsilon", "two-moves"])
+def test_corrupt_automaton_is_a_mismatch(capsys, lcc_artifact, tmp_path,
+                                         edit):
+    bad = _tampered(lcc_artifact, tmp_path, edit)
+    code, _, err = run_cli(capsys, "query", bad, "--criterion", "eps + 0",
+                           "--labels", "pi1")
+    assert code == 3
+    assert "pi1" in err
+
+
+def test_artifact_without_automata_is_a_mismatch(capsys, lcc_artifact,
+                                                 tmp_path):
+    bad = _tampered(lcc_artifact, tmp_path,
+                    lambda doc: doc.update(automata={}))
+    code, _, err = run_cli(capsys, "slice", LCC, "--mode", "inc",
+                           "--artifact", bad, "--criterion", "eps + 0")
+    assert code == 3
+    assert "disagree on point" in err
+
+
+def test_precompute_reports_points_and_distinct_automata(capsys, tmp_path):
+    art = tmp_path / "lcc.fsa.json"
+    code, _, err = run_cli(capsys, "precompute", LCC, "-o", art)
+    assert code == 0
+    n = len(all_labels(load(LCC)))
+    assert re.search(rf"wrote .* \({n} points, \d+ distinct automata\)", err)
+
+
 def test_query_ignores_the_fingerprint(capsys, lcc_artifact, tmp_path):
     """Point queries need no program, so a fingerprint edit goes unnoticed;
     only slice --mode inc checks it against the program it is given."""
@@ -233,17 +286,41 @@ def test_firstify_prints_the_lowered_program(capsys):
 
 
 def test_firstify_writes_output_and_map(capsys, tmp_path):
+    """--map implies --annotate: the written program carries the labels
+    the map names, and without them it is the golden lowered program."""
     out_f = tmp_path / "fo.fsl"
     map_f = tmp_path / "map.json"
     code, out, _ = run_cli(capsys, "firstify", HOF, "-o", out_f,
                            "--map", map_f)
     assert code == 0
-    assert out_f.read_text(encoding="utf-8") == golden("hof_firstified.golden")
+    text = out_f.read_text(encoding="utf-8")
+    fo = parse_program(text)
+    assert text == print_program(fo, annotate=True)
+    assert print_program(fo) == golden("hof_firstified.golden")
     doc = json.loads(map_f.read_text(encoding="utf-8"))
     assert doc
     pi = re.compile(r"pi\d+")
     assert all(pi.fullmatch(k) for k in doc)
     assert all(pi.fullmatch(v) for vs in doc.values() for v in vs)
+
+
+@pytest.mark.parametrize("name", ["hof", "mapadd"])
+@pytest.mark.parametrize("text", ["eps + 0", "eps + 1"])
+def test_firstify_map_output_slices_back_soundly(capsys, tmp_path, name,
+                                                 text):
+    """Slicing the program written with --map alone and pulling the keep
+    map back through the map gives a sound residual of the original."""
+    src = CORPUS / "ho" / f"{name}.fsl"
+    out_f, map_f = tmp_path / "fo.fsl", tmp_path / "map.json"
+    code, _, _ = run_cli(capsys, "firstify", src, "-o", out_f, "--map", map_f)
+    assert code == 0
+    crit = parse_criterion(text)
+    keep_fo = slice_noninc(load(out_f), crit).keep
+    lmap = {parse_label_name(k): tuple(map(parse_label_name, vs))
+            for k, vs in json.loads(map_f.read_text(encoding="utf-8")).items()}
+    p = load(src, higher_order=True)
+    residual = extract_residual(p, map_back(keep_fo, lmap, p))
+    assert check_soundness(p, residual, crit, runner=ho_run) == []
 
 
 def test_firstify_rejects_first_order_violations_in_ho_input(capsys, tmp_path):

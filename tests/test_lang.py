@@ -2,10 +2,11 @@
 
 import pytest
 
+from fslice.gen import generate_program
 from fslice.lang import (
-    Hole, ParseError, ValidateError, all_labels, iter_labeled, label_index,
-    label_name, occurrences_of, parse_label_name, parse_program,
-    print_program, validate,
+    Hole, If, Let, ParseError, Return, ValidateError, all_labels, app_occs,
+    iter_labeled, label_index, label_name, occurrences_of, parse_label_name,
+    parse_program, print_program, validate,
 )
 
 from conftest import corpus_paths, ho_paths, load
@@ -106,6 +107,35 @@ def test_label_name_round_trip():
     assert parse_label_name("7") == 7
     with pytest.raises(ParseError):
         parse_label_name("pix")
+
+
+def _recursive_iter_labeled(p):
+    """Reference: the pre-order walk of ``iter_labeled``, recursively."""
+    def walk(e):
+        yield (e.label, "expr", e)
+        if isinstance(e, Return):
+            yield (e.value.label, "occ", e.value)
+        elif isinstance(e, If):
+            yield (e.guard.label, "occ", e.guard)
+            yield from walk(e.then)
+            yield from walk(e.orelse)
+        elif isinstance(e, Let):
+            yield (e.rhs.label, "app", e.rhs)
+            for occ in app_occs(e.rhs):
+                yield (occ.label, "occ", occ)
+            yield from walk(e.body)
+
+    for d in p.defs:
+        yield from walk(d.body)
+
+
+def test_iter_labeled_keeps_the_recursive_pre_order(corpus, ho_corpus):
+    programs = [*corpus.values(), *ho_corpus.values(), generate_program(500)]
+    for p in programs:
+        got = [(lab, kind, id(node)) for lab, kind, node in iter_labeled(p)]
+        want = [(lab, kind, id(node))
+                for lab, kind, node in _recursive_iter_labeled(p)]
+        assert got == want
 
 
 def test_occurrences_of_collects_in_order():

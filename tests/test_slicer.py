@@ -3,11 +3,18 @@ residuals, artifact round trips, and residual extraction rules."""
 
 import pytest
 
-from fslice.automata import from_strings
+import json
+from itertools import combinations
+
+from fslice.automata import equivalent, from_strings
+from fslice.demand import SEL0, SEL1
+from fslice.gen import generate_program
+from fslice.grammar import generate_equations, instantiate, nt_d
 from fslice.lang import (
     FsliceError, Hole, ValidateError, all_labels, label_index, parse_program,
     print_program, validate,
 )
+from fslice.regular import CompiledGrammar, canonicalize_nfa, mn_transform
 from fslice.slicer import (
     ArtifactMismatch, PrecomputeArtifact, artifact_from_json,
     artifact_to_json, epsilon_criterion, extract_residual, fingerprint,
@@ -17,6 +24,7 @@ from fslice.slicer import (
 
 from conftest import golden
 from helpers import criteria_pool, criterion_nfa, check_soundness
+from oracles import create_completing_automaton
 
 POOL = criteria_pool()
 
@@ -248,7 +256,6 @@ def test_artifact_fingerprint_mismatch_is_rejected(corpus, artifacts):
 
 
 def test_artifact_version_mismatch_is_rejected(corpus, artifacts):
-    import json
     blob = json.loads(artifact_to_json(artifacts["lcc"]))
     blob["version"] = "0"
     with pytest.raises(ArtifactMismatch):
@@ -272,3 +279,85 @@ def test_keep_map_covers_every_label(corpus, artifacts):
         res = slice_inc(p, artifacts[name], epsilon_criterion())
         assert set(res.keep) == set(all_labels(p))
         assert res.kept_count == sum(res.keep.values())
+
+
+# -- the shared construction against the per-point reference ---------------------
+
+def test_stored_automata_match_the_per_point_construction(corpus, tmp_path):
+    """Every stored DFA is equivalent to the completing automaton built per
+    point from ``canonicalize_nfa``, and after loading, labels with equal
+    languages share one automaton object."""
+    programs = sorted(corpus.items()) + [("generated", generate_program())]
+    for name, p in programs:
+        art = precompute(p)
+        g = instantiate(generate_equations(p), min(all_labels(p)),
+                        epsilon_criterion())
+        cg = CompiledGrammar(mn_transform(g))
+        for lab in all_labels(p):
+            want = create_completing_automaton(
+                canonicalize_nfa(cg.nfa(nt_d(lab))))
+            assert equivalent(art.automata[lab], want, (SEL0, SEL1)), \
+                (name, lab)
+        path = tmp_path / f"{name}.fsa.json"
+        save_artifact(art, str(path))
+        loaded = load_artifact(str(path))
+        distinct = list({id(m): m for m in loaded.automata.values()}.values())
+        for a, b in combinations(distinct, 2):
+            assert not equivalent(a, b, (SEL0, SEL1)), name
+
+
+# -- strict artifact validation --------------------------------------------------
+
+def _edited(art, edit) -> str:
+    doc = json.loads(artifact_to_json(art))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _pi1(edit):
+    return lambda doc: edit(doc["automata"]["pi1"])
+
+
+@pytest.mark.parametrize("edit", [
+    _pi1(lambda m: m.update(states=[1] + m["states"][1:])),
+    _pi1(lambda m: m.update(start=len(m["states"]))),
+    _pi1(lambda m: m.update(start=True)),
+    _pi1(lambda m: m["finals"].append(len(m["states"]))),
+    _pi1(lambda m: m["trans"].append([len(m["states"]), "0", 0])),
+    _pi1(lambda m: m["trans"].append([m["start"], "0", 99999])),
+    _pi1(lambda m: m["trans"].append([0, "2", 0])),
+    _pi1(lambda m: m["trans"].append([0, "eps", 0])),
+    _pi1(lambda m: m["trans"].extend([[0, "1", 0], [0, "1", 0]])),
+    _pi1(lambda m: m.pop("trans")),
+    lambda doc: doc["automata"].update(
+        {"1": doc["automata"]["pi1"]}),
+], ids=["states-not-dense", "start-out-of-range", "start-not-int",
+        "final-out-of-range", "source-out-of-range", "target-out-of-range",
+        "symbol-not-selector", "epsilon", "two-moves", "missing-field",
+        "label-twice"])
+def test_corrupt_artifact_is_rejected_at_load(artifacts, edit):
+    with pytest.raises(ArtifactMismatch):
+        artifact_from_json(_edited(artifacts["lcc"], edit))
+
+
+def test_loaded_entries_with_equal_content_share_one_automaton(artifacts):
+    loaded = artifact_from_json(artifact_to_json(artifacts["lcc"]))
+    doc = json.loads(artifact_to_json(artifacts["lcc"]))["automata"]
+    by_text = {}
+    for name, entry in doc.items():
+        by_text.setdefault(json.dumps(entry, sort_keys=True), set()).add(
+            id(loaded.automata[int(name[2:])]))
+    assert all(len(ids) == 1 for ids in by_text.values())
+    assert len(by_text) == len({id(m) for m in loaded.automata.values()})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(automata={}),
+    lambda doc: doc["automata"].pop("pi1"),
+    lambda doc: doc["automata"].update(pi99999=doc["automata"]["pi1"]),
+], ids=["no-automata", "missing-point", "extra-point"])
+def test_artifact_must_cover_exactly_the_programs_points(corpus, artifacts,
+                                                          edit):
+    art = artifact_from_json(_edited(artifacts["lcc"], edit))
+    with pytest.raises(ArtifactMismatch, match="disagree on point"):
+        slice_inc(corpus["lcc"], art, epsilon_criterion())
