@@ -94,20 +94,6 @@ class Nfa:
                         todo.append(r)
         return seen
 
-    def coreachable(self) -> set[int]:
-        back: dict[int, set[int]] = {}
-        for src, _, dst in self.edges():
-            back.setdefault(dst, set()).add(src)
-        seen = set(self.finals)
-        todo = list(self.finals)
-        while todo:
-            q = todo.pop()
-            for r in back.get(q, ()):
-                if r not in seen:
-                    seen.add(r)
-                    todo.append(r)
-        return seen
-
     def is_empty(self) -> bool:
         return not (self.reachable() & self.finals)
 
@@ -135,17 +121,35 @@ class Nfa:
     # -- transformations ----------------------------------------------------
 
     def trim(self) -> "Nfa":
-        """Keep only states on a path from the start to a final state."""
-        live = self.reachable() & self.coreachable()
+        """Keep only states on a path from the start to a final state.
+
+        Only the reachable part is read, so trimming a view that shares a
+        large automaton's ``trans`` costs the size of that part.
+        """
+        reach = self.reachable()
+        back: dict[int, set[int]] = {}
+        for src in reach:
+            for dsts in self.trans.get(src, {}).values():
+                for dst in dsts:
+                    back.setdefault(dst, set()).add(src)
+        live = self.finals & reach
+        todo = list(live)
+        while todo:
+            for r in back.get(todo.pop(), ()):
+                if r not in live:
+                    live.add(r)
+                    todo.append(r)
         if self.start not in live:
             return Nfa(1, 0)
         order = sorted(live)
         remap = {old: i for i, old in enumerate(order)}
         m = Nfa(len(order), remap[self.start])
         m.finals = {remap[q] for q in self.finals if q in live}
-        for src, sym, dst in self.edges():
-            if src in live and dst in live:
-                m.add(remap[src], sym, remap[dst])
+        for src in order:
+            for sym, dsts in self.trans.get(src, {}).items():
+                for dst in dsts:
+                    if dst in live:
+                        m.add(remap[src], sym, remap[dst])
         return m
 
     def renumbered(self) -> "Nfa":
@@ -170,15 +174,6 @@ class Nfa:
         m.finals = {remap[q] for q in self.finals}
         for src, sym, dst in self.edges():
             m.add(remap[src], sym, remap[dst])
-        return m
-
-    def reversed_lang(self) -> "Nfa":
-        m = Nfa(self.n + 1, self.n)
-        m.finals = {self.start}
-        for src, sym, dst in self.edges():
-            m.add(dst, sym, src)
-        for q in self.finals:
-            m.add(self.n, EPS, q)
         return m
 
     def prefix_closed(self) -> "Nfa":

@@ -2,12 +2,12 @@
 
 Commands: ``slice`` (one criterion, either pipeline), ``precompute`` (write
 the artifact of per-point completing automata), ``query`` (answer point
-membership from an artifact), ``bench`` (timing table over a corpus),
-``firstify`` (lower a higher-order program), and ``run`` (execute a
-program, mainly for inspecting residuals).
+membership from an artifact), ``firstify`` (lower a higher-order program),
+and ``run`` (execute a program, mainly for inspecting residuals).
 
 Exit codes: 0 success, 1 usage or I/O problem, 2 analysis error (parse,
-validation, criterion, firstification), 3 artifact mismatch.
+validation, criterion, firstification, or a program nested too deeply for
+the recursive reader), 3 artifact mismatch.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import json
 import sys
 
 from . import __version__
-from .criteria import parse_criterion, validate_criterion
+from .criteria import parse_criterion
 from .lang import (FsliceError, label_name, parse_label_name, parse_program,
-                   print_program, validate, all_labels)
+                   print_program, validate)
 from .slicer import (ArtifactMismatch, in_slice, load_artifact, precompute,
                      save_artifact, slice_inc, slice_noninc)
 
@@ -66,7 +66,7 @@ def _cmd_slice(args) -> int:
     if args.dump_grammar:
         from .grammar import generate_equations, instantiate
         from .regular import mn_transform
-        g = instantiate(generate_equations(p), min(all_labels(p)), crit)
+        g = instantiate(generate_equations(p), crit)
         print("; demand grammar", file=sys.stderr)
         print(g.dump(), file=sys.stderr)
         print("; after regular approximation", file=sys.stderr)
@@ -79,12 +79,12 @@ def _cmd_slice(args) -> int:
     if args.dump_automaton is not None:
         from .grammar import generate_equations, instantiate, nt_d
         from .regular import CompiledGrammar, mn_transform, canonicalize_nfa
-        from .slicer import _nfa_to_json
+        from .slicer import nfa_to_json
         lab = parse_label_name(args.dump_automaton)
-        g = instantiate(generate_equations(p), min(all_labels(p)), crit)
+        g = instantiate(generate_equations(p), crit)
         cg = CompiledGrammar(mn_transform(g))
         canon = canonicalize_nfa(cg.nfa(nt_d(lab))).renumbered()
-        print(json.dumps(_nfa_to_json(canon), sort_keys=True), file=sys.stderr)
+        print(json.dumps(nfa_to_json(canon), sort_keys=True), file=sys.stderr)
     _write_or_print(print_program(result.residual), args.output)
     report = {
         "labels_total": len(result.keep),
@@ -115,26 +115,12 @@ def _cmd_precompute(args) -> int:
 def _cmd_query(args) -> int:
     art = load_artifact(args.artifact)
     crit = _criterion(args)
-    validate_criterion(crit)
     if args.labels:
         labels = [parse_label_name(s) for s in args.labels.split(",")]
     else:
         labels = sorted(art.automata)
     answers = {label_name(lab): in_slice(art, lab, crit) for lab in labels}
     print(json.dumps(answers, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from .bench import format_table, report_to_json, run_bench
-    criteria = [c.strip() for c in args.criteria.split(";") if c.strip()]
-    if not criteria:
-        raise _UsageError("no criteria given")
-    report = run_bench(args.corpus, criteria, runs=args.runs)
-    print(format_table(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
     return 0
 
 
@@ -196,14 +182,6 @@ def build_parser() -> _Parser:
     qp.add_argument("--labels", help="comma-separated labels, e.g. pi1,pi4")
     qp.set_defaults(fn=_cmd_query)
 
-    bp = sub.add_parser("bench", help="timing table over a corpus directory")
-    bp.add_argument("corpus")
-    bp.add_argument("--criteria", required=True,
-                    help="semicolon-separated criterion regexes")
-    bp.add_argument("--runs", type=int, default=5)
-    bp.add_argument("--json")
-    bp.set_defaults(fn=_cmd_bench)
-
     fp = sub.add_parser("firstify", help="lower a higher-order program")
     fp.add_argument("program")
     fp.add_argument("-o", "--output")
@@ -234,6 +212,10 @@ def main(argv=None) -> int:
         return ARTIFACT_EXIT
     except FsliceError as exc:
         print(f"fslice: {exc}", file=sys.stderr)
+        return ANALYSIS_EXIT
+    except RecursionError:
+        # the reader and printer recurse once per nesting level
+        print("fslice: program nests too deeply", file=sys.stderr)
         return ANALYSIS_EXIT
 
 

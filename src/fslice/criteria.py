@@ -191,31 +191,37 @@ def parse_regex(text: str) -> Regex:
 # Criterion construction and validation
 # ---------------------------------------------------------------------------
 
+def _is_prefix_closed(m: Nfa) -> bool:
+    return equivalent(m, m.prefix_closed(), PATH_ALPHABET)
+
+
 def validate_criterion(crit: Nfa) -> None:
     """Reject criteria the theory does not cover.
 
     Must be nonempty, use only path selectors, and be prefix-closed.
+    ``grammar.instantiate`` runs this on every criterion it is given.
     """
     if crit.is_empty():
         raise CriterionError("criterion denotes the empty language")
     bad = crit.trim().symbols() - {SEL0, SEL1, ""}
     if bad:
         raise CriterionError(f"criterion uses non-path symbols {sorted(bad)}")
-    if not equivalent(crit, crit.prefix_closed(), PATH_ALPHABET):
+    if not _is_prefix_closed(crit):
         raise CriterionError("criterion is not prefix-closed")
 
 
 def parse_criterion(text: str, *, strict: bool = False,
                     notify: Callable[[str], None] | None = None) -> Nfa:
-    """Parse a criterion regex into a prefix-closed NFA over {0,1}."""
+    """Parse a criterion regex into a prefix-closed NFA over {0,1}.
+
+    The result always passes ``validate_criterion``: the regex syntax has
+    no empty language and no symbol but 0 and 1.
+    """
     m = regex_to_nfa(parse_regex(text))
-    if m.is_empty():
-        raise CriterionError("criterion denotes the empty language")
-    closed = m.prefix_closed()
-    if not equivalent(m, closed, PATH_ALPHABET):
+    if not _is_prefix_closed(m):
         if strict:
             raise CriterionError(
                 "criterion is not prefix-closed (strict mode)")
         if notify is not None:
             notify("criterion was not prefix-closed; using its prefix closure")
-    return closed
+    return m.prefix_closed()

@@ -1,189 +1,24 @@
-"""Symbolic demand strings and their simplification calculus.
+"""Symbols of demand strings.
 
 A demand describes which parts of a value are needed, as a set of strings.
 Besides the two selectors (0 = head, 1 = tail) the symbolic alphabet has
 0̄ and 1̄, which record a construction that a later matching selector will
 cancel, and 2, which records an operation that inspects only the spine of a
 value, so that whatever demand follows it collapses to "the value itself is
-needed". An end marker $ exists in debug notation and in generated grammars,
-but public demand sets never carry it.
+needed".
 
-``simplify`` reduces a symbolic set to plain selector strings over {0, 1},
-dropping strings whose constructions and selections cannot be reconciled.
-``canonicalize`` performs only the reconciliation, leaving a set whose
-strings all match (0+1+2)*(0̄+1̄)*; it is the string-level counterpart of the
-automaton normalization used by the incremental slicer, and satisfies
-simplify(C(a)·C(b)) = simplify(a·b).
-
-Both functions work string by string, folding from the right and
-maintaining the already-processed suffix.
+The library runs the calculus over these strings (simplification S and
+canonicalization C) on automata, in ``regular`` and ``slicer``. Its
+string-level form, fold by fold, is a test oracle in ``tests/oracles.py``.
 """
-
-from __future__ import annotations
-
-from itertools import product
 
 SEL0 = "0"
 SEL1 = "1"
 BAR0 = "0b"
 BAR1 = "1b"
 TWO = "2"
-END = "$"
 
 ALPHABET = (SEL0, SEL1, BAR0, BAR1, TWO)
 SELECTORS = (SEL0, SEL1)
 BAR_OF = {SEL0: BAR0, SEL1: BAR1}
 SEL_OF = {BAR0: SEL0, BAR1: SEL1}
-
-DStr = tuple[str, ...]
-DSet = set[DStr]
-
-_PRETTY = {BAR0: "0̄", BAR1: "1̄"}
-
-
-def parse_dstr(text: str) -> DStr:
-    """Parse debug notation, e.g. "1 2 0b" -> (SEL1, TWO, BAR0)."""
-    syms = []
-    for tok in text.split():
-        if tok == "eps":
-            continue
-        if tok in ALPHABET or tok == END:
-            syms.append(tok)
-        elif tok in ("0̄", "1̄"):
-            syms.append(BAR0 if tok[0] == "0" else BAR1)
-        else:
-            raise ValueError(f"unknown demand symbol {tok!r}")
-    return tuple(syms)
-
-
-def format_dstr(s: DStr, pretty: bool = False) -> str:
-    if not s:
-        return "eps"
-    if pretty:
-        return " ".join(_PRETTY.get(c, c) for c in s)
-    return " ".join(s)
-
-
-def format_dset(d: DSet) -> str:
-    if not d:
-        return "{}"
-    inner = ", ".join(format_dstr(s) for s in sorted(d))
-    return "{" + inner + "}"
-
-
-def simplify_str(s: DStr) -> DStr | None:
-    """Simplify one string, or None when it carries no demand.
-
-    Folding from the right with the simplified suffix (always selector-only)
-    as accumulator: selectors prepend; a bar must cancel the matching
-    selector at the head of the suffix; a 2 discards the suffix entirely,
-    because inspecting a value's spine demands the value at the point of
-    inspection no matter what follows (at the very end of a string, "what
-    follows" is the end marker, and the 2 still collapses to nothing).
-    """
-    acc: list[str] = []
-    for c in reversed(s):
-        if c in SELECTORS:
-            acc.insert(0, c)
-        elif c == TWO:
-            acc.clear()
-        elif c in SEL_OF:
-            if acc and acc[0] == SEL_OF[c]:
-                acc.pop(0)
-            else:
-                return None
-        else:
-            raise ValueError(f"unexpected symbol {c!r} in demand string")
-    return tuple(acc)
-
-
-def simplify(d: DSet) -> DSet:
-    out = set()
-    for s in d:
-        r = simplify_str(s)
-        if r is not None:
-            out.add(r)
-    return out
-
-
-def canonicalize_str(s: DStr) -> DStr | None:
-    """Canonicalize one string, or None when it is dead.
-
-    Like simplify, but 2 is kept as an ordinary symbol and unmatched bars
-    accumulate at the end instead of being errors. The accumulator is always
-    of the canonical shape (0+1+2)*(0̄+1̄)*: plain symbols prepend; a bar
-    either cancels a matching selector head, dies against a mismatched
-    selector or a 2, or piles onto a bar-headed (or empty) suffix.
-    """
-    acc: list[str] = []
-    for c in reversed(s):
-        if c in (SEL0, SEL1, TWO):
-            acc.insert(0, c)
-        elif c in SEL_OF:
-            if not acc or acc[0] in SEL_OF:
-                acc.insert(0, c)
-            elif acc[0] == SEL_OF[c]:
-                acc.pop(0)
-            else:
-                return None
-        else:
-            raise ValueError(f"unexpected symbol {c!r} in demand string")
-    return tuple(acc)
-
-
-def canonicalize(d: DSet) -> DSet:
-    out = set()
-    for s in d:
-        r = canonicalize_str(s)
-        if r is not None:
-            out.add(r)
-    return out
-
-
-def concat(d1: DSet, d2: DSet) -> DSet:
-    return {a + b for a in d1 for b in d2}
-
-
-def is_canonical_shape(s: DStr) -> bool:
-    seen_bar = False
-    for c in s:
-        if c in SEL_OF:
-            seen_bar = True
-        elif seen_bar:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Selector paths (criteria live here)
-# ---------------------------------------------------------------------------
-
-def to_path(s: DStr) -> tuple[int, ...]:
-    """Selector-only demand string -> access path of 0/1 steps."""
-    if any(c not in SELECTORS for c in s):
-        raise ValueError(f"not a selector string: {format_dstr(s)}")
-    return tuple(int(c) for c in s)
-
-
-def from_path(path) -> DStr:
-    return tuple(SEL1 if step else SEL0 for step in path)
-
-
-def prefix_close(d: DSet) -> DSet:
-    out: DSet = set()
-    for s in d:
-        for i in range(len(s) + 1):
-            out.add(s[:i])
-    return out
-
-
-def is_prefix_closed(d: DSet) -> bool:
-    return all(s[:i] in d for s in d for i in range(len(s)))
-
-
-def all_strings_upto(alphabet, k: int) -> list[DStr]:
-    """Every string over ``alphabet`` of length at most k."""
-    out: list[DStr] = []
-    for n in range(k + 1):
-        out.extend(product(alphabet, repeat=n))
-    return out

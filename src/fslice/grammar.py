@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import automata
-from .demand import BAR0, BAR1, END, SEL0, SEL1, TWO
+from .automata import EPS, Nfa
+from .criteria import validate_criterion
+from .demand import BAR0, BAR1, SEL0, SEL1, TWO
 from .lang import (
-    Call, Car, Cdr, Cons, Expr, FsliceError, If, Let, NullQ, Prim, Program,
-    Return, ValidateError, app_occs, iter_exprs, label_name, occurrences_of,
+    Call, Car, Cdr, Cons, If, Let, NullQ, Prim, Program, Return, app_occs,
+    iter_exprs, label_name, occurrences_of,
 )
 
 NonTerm = tuple
@@ -46,10 +47,6 @@ CRIT: NonTerm = ("Crit",)
 
 def nt_d(label: int) -> NonTerm:
     return ("D", label)
-
-
-def nt_dp(label: int) -> NonTerm:
-    return ("Dp", label)
 
 
 def nt_p(label: int) -> NonTerm:
@@ -68,8 +65,6 @@ def format_nt(nt: NonTerm) -> str:
     tag = nt[0]
     if tag == "D":
         return f"D[{label_name(nt[1])}]"
-    if tag == "Dp":
-        return f"D'[{label_name(nt[1])}]"
     if tag == "P":
         return f"P[{label_name(nt[1])}]"
     if tag == "Sum":
@@ -200,81 +195,18 @@ def generate_equations(p: Program) -> DemandGrammar:
     return g
 
 
-def instantiate(g: DemandGrammar, pt: int, crit: automata.Nfa) -> DemandGrammar:
-    """Plug a concrete criterion in; start symbol becomes D'[pt].
+def instantiate(g: DemandGrammar, crit: Nfa) -> DemandGrammar:
+    """Plug a concrete criterion in, as right-linear productions under Crit.
 
-    ``crit`` must be a nonempty, prefix-closed language over the two
-    selectors; callers close criteria before getting here. The criterion
-    automaton is encoded as right-linear productions under Crit, and the
-    primed production D'[pt] -> D[pt] $ ends the string per the formal
-    construction; the slicing pipeline itself extracts from the unprimed
-    D[pt] starts, where $ never occurs.
+    ``crit`` must pass ``criteria.validate_criterion``: a nonempty,
+    prefix-closed language over the two selectors.
     """
-    bad = crit.symbols() - {SEL0, SEL1}
-    if bad:
-        raise ValidateError(f"criterion uses non-selector symbols {sorted(bad)}")
-    if crit.is_empty():
-        raise ValidateError("criterion is empty; the slice would be trivial")
-    if not automata.equivalent(crit, crit.prefix_closed(), (SEL0, SEL1)):
-        raise ValidateError("criterion must be prefix-closed")
+    validate_criterion(crit)
     out = g.copy()
     out.add(CRIT, (("CritQ", crit.start),))
     for src, sym, dst in crit.edges():
-        body = (("CritQ", dst),) if sym == automata.EPS else (sym, ("CritQ", dst))
+        body = (("CritQ", dst),) if sym == EPS else (sym, ("CritQ", dst))
         out.add(("CritQ", src), body)
     for q in crit.finals:
         out.add(("CritQ", q), ())
-    out.add(nt_dp(pt), (nt_d(pt), END))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Bounded enumeration (test oracle)
-# ---------------------------------------------------------------------------
-
-def bounded_languages(g: DemandGrammar, maxlen: int,
-                      cap: int = 2_000_000) -> dict[NonTerm, set]:
-    """Every string of length <= maxlen derivable from each nonterminal.
-
-    A truncated bottom-up fixpoint. Dropping over-length intermediate
-    concatenations loses nothing, because partial concatenations are
-    substrings of the final yield and so never longer than it.
-    """
-    lang: dict[NonTerm, set] = {nt: set() for nt in g.nonterminals()}
-    prods = sorted(g.productions, key=production_key)
-    total = 0
-    changed = True
-    while changed:
-        changed = False
-        for lhs, body in prods:
-            acc = {()}
-            for item in body:
-                nxt = set()
-                if is_nonterm(item):
-                    for s in acc:
-                        room = maxlen - len(s)
-                        for t in lang[item]:
-                            if len(t) <= room:
-                                nxt.add(s + t)
-                else:
-                    for s in acc:
-                        if len(s) < maxlen:
-                            nxt.add(s + (item,))
-                acc = nxt
-                if not acc:
-                    break
-            fresh = acc - lang[lhs]
-            if fresh:
-                total += len(fresh)
-                if total > cap:
-                    raise FsliceError("bounded grammar enumeration too large")
-                lang[lhs] |= fresh
-                changed = True
-    return lang
-
-
-def eval_finite(g: DemandGrammar, pt: int, maxlen: int) -> set:
-    """Bounded language of D[pt]; oracle for the regular pipeline."""
-    if maxlen > 12:
-        raise ValueError("maxlen above 12 is not supported")
-    return set(bounded_languages(g, maxlen).get(nt_d(pt), set()))

@@ -239,20 +239,3 @@ def to_py(value: Value, heap: dict[int, tuple[Value, Value]],
     if value is HOLE:
         return "hole"
     return value
-
-
-def to_pylist(value: Value, heap: dict[int, tuple[Value, Value]]) -> list:
-    """Convert a proper object-language list to a Python list."""
-    out = []
-    seen = 0
-    v = value
-    while isinstance(v, Loc):
-        h, t = heap[v.addr]
-        out.append(to_py(h, heap))
-        v = t
-        seen += 1
-        if seen > 1_000_000:
-            raise ValueError("list too long or cyclic")
-    if v is not NIL:
-        raise ValueError(f"improper list tail {v!r}")
-    return out

@@ -170,9 +170,6 @@ class Program:
                 return d
         raise KeyError(name)
 
-    def fun_names(self) -> list[str]:
-        return [d.name for d in self.defs]
-
 
 Label = int
 

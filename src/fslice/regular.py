@@ -22,12 +22,16 @@ Pipeline pieces, in the order the slicer uses them:
   relation: state pairs connected by some path whose labels erase under
   0̄0 -> ε and 1̄1 -> ε. The pairs act as extra epsilon edges.
 
-* ``simplify_nfa`` / ``canonicalize_nfa`` lift the string-level S and C to
-  automata: simplification keeps selector edges plus cancellation and
-  resolves 2 by end-absorption (a 2-edge whose target can still wind down
-  to acceptance through selectors, cancellations, and further 2s makes its
-  source accepting); canonicalization keeps 2 and instead intersects with
-  the (0+1+2)*(0̄+1̄)* shape, leaving exactly the normal forms.
+* ``tail_states`` finds the states from which the rest of a string can
+  erase completely: over selector, epsilon and cancellation edges they
+  reach acceptance, or a 2-edge into another such state. A point is kept
+  exactly when its entry state tails.
+
+* ``canonicalize_nfa`` lifts the string-level C to automata: with the
+  cancellation pairs as epsilon edges, it intersects with the
+  (0+1+2)*(0̄+1̄)* shape, leaving exactly the normal forms. Its
+  simplification counterpart, ``simplify_nfa``, is a test oracle and lives
+  in ``tests/oracles.py``.
 
 The completing automata of the incremental pipeline (the reversed bar
 suffixes of every point's canonical language, as plain selector strings)
@@ -39,8 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import EPS, Nfa, intersect, intersect_nonempty as _nonempty
-from .demand import BAR0, BAR1, END, SEL0, SEL1, TWO
+from .automata import EPS, Nfa, intersect
+from .demand import BAR0, BAR1, SEL0, SEL1, TWO
 from .grammar import DemandGrammar, NonTerm, is_nonterm, production_key
 from .lang import FsliceError
 
@@ -55,19 +59,13 @@ class NotStronglyRegular(FsliceError):
 # SCC analysis and the strongly-regular transform
 # ---------------------------------------------------------------------------
 
-def _active_productions(g: DemandGrammar) -> list:
-    """Productions that take part in automata (end-marker rules do not)."""
-    return sorted(((lhs, body) for lhs, body in g.productions
-                   if END not in body and lhs[0] != "Dp"), key=production_key)
-
-
 def scc_partition(g: DemandGrammar):
     """Tarjan over the nonterminal reference graph, iterative.
 
     Returns (components, component-id per nonterminal); components come out
     dependencies-first, so they can be processed bottom-up in list order.
     """
-    prods = _active_productions(g)
+    prods = sorted(g.productions, key=production_key)
     adj: dict[NonTerm, list[NonTerm]] = {}
     nodes: set[NonTerm] = set(g.declared)
     for lhs, body in prods:
@@ -159,17 +157,13 @@ def mn_transform(g: DemandGrammar) -> DemandGrammar:
     Cont[X] -> eps for every member. The component becomes right-linear and
     its language only grows, never shrinks.
     """
-    prods = _active_productions(g)
+    prods = sorted(g.productions, key=production_key)
     sccs, scc_of = scc_partition(g)
     by_scc: dict[int, list] = {}
     for lhs, body in prods:
         by_scc.setdefault(scc_of[lhs], []).append((lhs, body))
 
     out = DemandGrammar(set(), set(g.declared))
-    for lhs, body in g.productions:
-        if END in body or lhs[0] == "Dp":
-            out.add(lhs, body)
-
     for cid, comp in enumerate(sccs):
         members = set(comp)
         cprods = by_scc.get(cid, [])
@@ -219,9 +213,8 @@ class CompiledGrammar:
     """
 
     def __init__(self, g: DemandGrammar):
-        prods = _active_productions(g)
         self._by_lhs: dict[NonTerm, list] = {}
-        for lhs, body in prods:
+        for lhs, body in sorted(g.productions, key=production_key):
             self._by_lhs.setdefault(lhs, []).append(body)
         self._sccs, self._scc_of = scc_partition(g)
         self._members = [set(c) for c in self._sccs]
@@ -349,10 +342,7 @@ class CompiledGrammar:
     def nfa(self, nt: NonTerm) -> Nfa:
         """Standalone automaton for one nonterminal's language."""
         if nt in self.entry:
-            m = self.aut.copy()
-            m.start = self.entry[nt]
-            m.finals = {self.final}
-            return m.trim()
+            return _trimmed_view(self.aut, self.entry[nt], self.final)
         if nt not in self._scc_of:
             raise KeyError(f"unknown nonterminal {nt!r}")
         cid = self._scc_of[nt]
@@ -360,15 +350,16 @@ class CompiledGrammar:
             # a left-linear member never referenced elsewhere: build lazily
             self._build_fragments(self._fragment_closure({cid}))
         frag = self._fragments[cid]
-        m = frag.nfa.copy()
-        m.start = frag.entry[nt]
-        m.finals = {frag.exit[nt]}
-        return m.trim()
+        return _trimmed_view(frag.nfa, frag.entry[nt], frag.exit[nt])
 
 
-def mohri_nederhof(g: DemandGrammar, start: NonTerm) -> Nfa:
-    """Over-approximating NFA for one nonterminal of a demand grammar."""
-    return CompiledGrammar(mn_transform(g)).nfa(start)
+def _trimmed_view(m: Nfa, start: int, final: int) -> Nfa:
+    """``m`` from ``start`` to ``final`` alone, trimmed; ``m`` is shared,
+    not copied, since trimming only reads it."""
+    view = Nfa(m.n, start)
+    view.trans = m.trans
+    view.finals = {final}
+    return view.trim()
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +454,6 @@ def tail_states(m: Nfa, eps_pairs=()) -> set[int]:
         tails = back_closure(tails | fresh)
 
 
-def simplify_nfa(m: Nfa) -> Nfa:
-    """Automaton for S(L(m)), over selectors only.
-
-    Cancellation pairs become epsilon edges; bars are then dropped. A state
-    with a 2-edge into a tailing state becomes accepting, since the 2
-    swallows whatever the path read after it.
-    """
-    m2 = _with_cancel(m)
-    tails = tail_states(m2)
-    out = Nfa(m2.n, m2.start)
-    out.finals = set(m2.finals)
-    for p, sym, q in m2.edges():
-        if sym in (SEL0, SEL1, EPS):
-            out.add(p, sym, q)
-        elif sym == TWO and q in tails:
-            out.finals.add(p)
-    return out.trim()
-
-
 _SHAPE = None
 
 
@@ -509,14 +481,3 @@ def canonicalize_nfa(m: Nfa) -> Nfa:
     forms under bar-selector cancellation.
     """
     return intersect(_with_cancel(m), _shape_nfa()).trim()
-
-
-def intersect_nonempty(a: Nfa, crit: Nfa) -> bool:
-    """Does the automaton's language meet the criterion anywhere?"""
-    return _nonempty(a, crit)
-
-
-def enumerate_upto(a: Nfa, k: int) -> set[tuple]:
-    if k > 12:
-        raise ValueError("enumeration bound above 12 is not supported")
-    return a.enumerate_upto(k)

@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 
 from .automata import EPS, Nfa, from_strings, intersect_nonempty
-from .demand import BAR0, BAR1, SEL0, SEL1, TWO
+from .demand import BAR_OF, SEL0, SEL1, TWO
 from .grammar import generate_equations, instantiate, nt_d
 from .lang import (
     Call, Car, Cdr, Cons, Const, FsliceError, FunDef, Hole, If, Let, Nil,
@@ -84,9 +84,7 @@ def epsilon_criterion() -> Nfa:
 # ---------------------------------------------------------------------------
 
 def _compiled_for(p: Program, crit: Nfa) -> CompiledGrammar:
-    g = generate_equations(p)
-    gi = instantiate(g, min(all_labels(p)), crit)
-    return CompiledGrammar(mn_transform(gi))
+    return CompiledGrammar(mn_transform(instantiate(generate_equations(p), crit)))
 
 
 def _keep_map(p: Program, cg: CompiledGrammar) -> dict[int, bool]:
@@ -142,9 +140,6 @@ def precompute(p: Program) -> PrecomputeArtifact:
     return art
 
 
-_SEL_BAR = ((SEL0, BAR0), (SEL1, BAR1))
-
-
 def _completion_dfa(aut: Nfa, final: int) -> tuple[Nfa, dict[int, int]]:
     """The shared completion DFA D, and which of its states each state meets.
 
@@ -181,7 +176,7 @@ def _completion_dfa(aut: Nfa, final: int) -> tuple[Nfa, dict[int, int]]:
     ids = {subsets[0]: 0}
     dfa = Nfa(1, 0)
     for cur in subsets:  # grows as new subsets are found
-        for sel, bar in _SEL_BAR:
+        for sel, bar in BAR_OF.items():
             pred = back.get(bar, {})
             nxt: set[int] = set()
             for x in cur:
@@ -316,7 +311,7 @@ def extract_residual(p: Program, keep: dict[int, bool]) -> Program:
 # Artifact persistence
 # ---------------------------------------------------------------------------
 
-def _nfa_to_json(m: Nfa) -> dict:
+def nfa_to_json(m: Nfa) -> dict:
     trans = sorted((src, sym if sym != EPS else "eps", dst)
                    for src, sym, dst in m.edges())
     return {
@@ -360,7 +355,7 @@ def artifact_to_json(art: PrecomputeArtifact) -> str:
     doc = {
         "version": art.version,
         "fingerprint": art.fingerprint,
-        "automata": {label_name(lab): _nfa_to_json(m)
+        "automata": {label_name(lab): nfa_to_json(m)
                      for lab, m in art.automata.items()},
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -1,14 +1,18 @@
-"""Shared criterion pools and the residual soundness check."""
+"""Shared criterion pools, the residual soundness check, and a timer."""
 
 from __future__ import annotations
 
 import os
+import statistics
+import time
 from random import Random
 
 from fslice.automata import Nfa, from_strings
 from fslice.criteria import parse_criterion
-from fslice.demand import SEL0, SEL1, format_dset, prefix_close, to_path
+from fslice.demand import SEL0, SEL1
 from fslice.interp import InterpError, observe, run
+
+from oracles import format_dset, prefix_close, to_path
 
 SEED = int(os.environ.get("FSLICE_SEED", "20260814"))
 
@@ -88,3 +92,13 @@ def check_soundness(original, residual, crit: Nfa, maxlen: int = 6, *,
         if want != got:
             failures.append(f"path {path}: {want!r} != {got!r}")
     return failures
+
+
+def median_ms(fn, runs: int) -> float:
+    """Median wall-clock milliseconds of ``runs`` calls of ``fn``."""
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - t0) * 1000.0)
+    return statistics.median(times)

@@ -1,14 +1,21 @@
-"""Independent reference implementations used as test oracles.
+"""Reference implementations used as test oracles. Slow is fine; these
+never ship.
 
-Everything here is derived straight from the rewrite rules, not from the
-shipped code: simplification and canonicalization are run as exhaustive
-string rewriting (any redex, breadth-first, with a confluence assertion),
-and the language-level operations are plain set computations on bounded
-enumerations. Slow is fine; these never ship.
-
-``create_completing_automaton`` builds one point's completing automaton
-straight from that point's canonical automaton: the reference every
-automaton ``slicer.precompute`` stores must be equivalent to.
+* The rewrite oracle: simplification and canonicalization run as
+  exhaustive string rewriting (any redex, breadth-first, with a confluence
+  assertion), and language-level operations as plain set computations on
+  bounded enumerations. It is derived straight from the rewrite rules.
+* The string calculus: the same two maps as right-to-left folds over one
+  string (``simplify_str``, ``canonicalize_str``), with the set, path and
+  notation helpers the tests build on. The tests check it against the
+  rewrite oracle, and the library's automata against it.
+* ``bounded_languages`` / ``eval_finite``: every short string a demand
+  grammar derives, by a truncated fixpoint.
+* ``simplify_nfa``: S lifted to automata, the counterpart of the library's
+  ``regular.canonicalize_nfa``.
+* ``create_completing_automaton`` builds one point's completing automaton
+  straight from that point's canonical automaton: the reference every
+  automaton ``slicer.precompute`` stores must be equivalent to.
 """
 
 from __future__ import annotations
@@ -16,11 +23,19 @@ from __future__ import annotations
 from itertools import product
 
 from fslice.automata import EPS, Nfa
-from fslice.demand import BAR0, BAR1, END, SEL0, SEL1, TWO
+from fslice.demand import ALPHABET, BAR0, BAR1, SEL0, SEL1, SEL_OF, SELECTORS, TWO
+from fslice.grammar import DemandGrammar, NonTerm, is_nonterm, nt_d, production_key
 from fslice.lang import FsliceError
+from fslice.regular import cancel_pairs, tail_states
 
-SELECTORS = (SEL0, SEL1)
-ALPHABET = (SEL0, SEL1, BAR0, BAR1, TWO)
+# The end marker: the rewrite oracle appends it to every string it
+# simplifies, and debug notation may write it.
+END = "$"
+
+DStr = tuple[str, ...]
+DSet = set[DStr]
+
+_PRETTY = {BAR0: "0̄", BAR1: "1̄"}
 
 # Rewrite rules as (lhs pair, rhs tuple). Simplification sees the demand
 # string with the end marker appended; canonicalization never looks at it.
@@ -101,28 +116,6 @@ def canonicalize_language(strings) -> set[tuple]:
     return out
 
 
-def all_strings(alphabet, maxlen: int):
-    for n in range(maxlen + 1):
-        yield from product(alphabet, repeat=n)
-
-
-def completions(canon_strings, maxlen: int) -> set[tuple]:
-    """Selector strings s with a live simplification of some d + s."""
-    out = set()
-    for s in all_strings(SELECTORS, maxlen):
-        if any(simplify_string(d + s) is not None for d in canon_strings):
-            out.add(s)
-    return out
-
-
-def prefixes(strings) -> set[tuple]:
-    out = set()
-    for s in strings:
-        for i in range(len(s) + 1):
-            out.add(s[:i])
-    return out
-
-
 def count_prefix_closed(alphabet_size: int, maxlen: int) -> int:
     """Number of prefix-closed languages (including the empty one) of
     strings up to ``maxlen``: t_0 = 2 and t_k = 1 + t_{k-1} ** alphabet."""
@@ -149,11 +142,238 @@ def enumerate_prefix_closed(maxlen: int):
 
 
 # ---------------------------------------------------------------------------
-# Per-point completing automata
+# The string calculus
 # ---------------------------------------------------------------------------
 
-_SEL_FOR_BAR = {BAR0: SEL0, BAR1: SEL1}
+def parse_dstr(text: str) -> DStr:
+    """Parse debug notation, e.g. "1 2 0b" -> (SEL1, TWO, BAR0)."""
+    syms = []
+    for tok in text.split():
+        if tok == "eps":
+            continue
+        if tok in ALPHABET or tok == END:
+            syms.append(tok)
+        elif tok in ("0̄", "1̄"):
+            syms.append(BAR0 if tok[0] == "0" else BAR1)
+        else:
+            raise ValueError(f"unknown demand symbol {tok!r}")
+    return tuple(syms)
 
+
+def format_dstr(s: DStr, pretty: bool = False) -> str:
+    if not s:
+        return "eps"
+    if pretty:
+        return " ".join(_PRETTY.get(c, c) for c in s)
+    return " ".join(s)
+
+
+def format_dset(d: DSet) -> str:
+    if not d:
+        return "{}"
+    inner = ", ".join(format_dstr(s) for s in sorted(d))
+    return "{" + inner + "}"
+
+
+def simplify_str(s: DStr) -> DStr | None:
+    """Simplify one string, or None when it carries no demand.
+
+    Folding from the right with the simplified suffix (always selector-only)
+    as accumulator: selectors prepend; a bar must cancel the matching
+    selector at the head of the suffix; a 2 discards the suffix entirely,
+    because inspecting a value's spine demands the value at the point of
+    inspection no matter what follows (at the very end of a string, "what
+    follows" is the end marker, and the 2 still collapses to nothing).
+    """
+    acc: list[str] = []
+    for c in reversed(s):
+        if c in SELECTORS:
+            acc.insert(0, c)
+        elif c == TWO:
+            acc.clear()
+        elif c in SEL_OF:
+            if acc and acc[0] == SEL_OF[c]:
+                acc.pop(0)
+            else:
+                return None
+        else:
+            raise ValueError(f"unexpected symbol {c!r} in demand string")
+    return tuple(acc)
+
+
+def simplify(d: DSet) -> DSet:
+    out = set()
+    for s in d:
+        r = simplify_str(s)
+        if r is not None:
+            out.add(r)
+    return out
+
+
+def canonicalize_str(s: DStr) -> DStr | None:
+    """Canonicalize one string, or None when it is dead.
+
+    Like simplify, but 2 is kept as an ordinary symbol and unmatched bars
+    accumulate at the end instead of being errors. The accumulator is always
+    of the canonical shape (0+1+2)*(0̄+1̄)*: plain symbols prepend; a bar
+    either cancels a matching selector head, dies against a mismatched
+    selector or a 2, or piles onto a bar-headed (or empty) suffix.
+    """
+    acc: list[str] = []
+    for c in reversed(s):
+        if c in (SEL0, SEL1, TWO):
+            acc.insert(0, c)
+        elif c in SEL_OF:
+            if not acc or acc[0] in SEL_OF:
+                acc.insert(0, c)
+            elif acc[0] == SEL_OF[c]:
+                acc.pop(0)
+            else:
+                return None
+        else:
+            raise ValueError(f"unexpected symbol {c!r} in demand string")
+    return tuple(acc)
+
+
+def canonicalize(d: DSet) -> DSet:
+    out = set()
+    for s in d:
+        r = canonicalize_str(s)
+        if r is not None:
+            out.add(r)
+    return out
+
+
+def concat(d1: DSet, d2: DSet) -> DSet:
+    return {a + b for a in d1 for b in d2}
+
+
+def is_canonical_shape(s: DStr) -> bool:
+    seen_bar = False
+    for c in s:
+        if c in SEL_OF:
+            seen_bar = True
+        elif seen_bar:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Selector paths (criteria live here)
+# ---------------------------------------------------------------------------
+
+def to_path(s: DStr) -> tuple[int, ...]:
+    """Selector-only demand string -> access path of 0/1 steps."""
+    if any(c not in SELECTORS for c in s):
+        raise ValueError(f"not a selector string: {format_dstr(s)}")
+    return tuple(int(c) for c in s)
+
+
+def from_path(path) -> DStr:
+    return tuple(SEL1 if step else SEL0 for step in path)
+
+
+def prefix_close(d: DSet) -> DSet:
+    out: DSet = set()
+    for s in d:
+        for i in range(len(s) + 1):
+            out.add(s[:i])
+    return out
+
+
+def is_prefix_closed(d: DSet) -> bool:
+    return all(s[:i] in d for s in d for i in range(len(s)))
+
+
+def all_strings_upto(alphabet, k: int) -> list[DStr]:
+    """Every string over ``alphabet`` of length at most k."""
+    out: list[DStr] = []
+    for n in range(k + 1):
+        out.extend(product(alphabet, repeat=n))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Bounded enumeration of demand grammars
+# ---------------------------------------------------------------------------
+
+def bounded_languages(g: DemandGrammar, maxlen: int,
+                      cap: int = 2_000_000) -> dict[NonTerm, set]:
+    """Every string of length <= maxlen derivable from each nonterminal.
+
+    A truncated bottom-up fixpoint. Dropping over-length intermediate
+    concatenations loses nothing, because partial concatenations are
+    substrings of the final yield and so never longer than it.
+    """
+    lang: dict[NonTerm, set] = {nt: set() for nt in g.nonterminals()}
+    prods = sorted(g.productions, key=production_key)
+    total = 0
+    changed = True
+    while changed:
+        changed = False
+        for lhs, body in prods:
+            acc = {()}
+            for item in body:
+                nxt = set()
+                if is_nonterm(item):
+                    for s in acc:
+                        room = maxlen - len(s)
+                        for t in lang[item]:
+                            if len(t) <= room:
+                                nxt.add(s + t)
+                else:
+                    for s in acc:
+                        if len(s) < maxlen:
+                            nxt.add(s + (item,))
+                acc = nxt
+                if not acc:
+                    break
+            fresh = acc - lang[lhs]
+            if fresh:
+                total += len(fresh)
+                if total > cap:
+                    raise FsliceError("bounded grammar enumeration too large")
+                lang[lhs] |= fresh
+                changed = True
+    return lang
+
+
+def eval_finite(g: DemandGrammar, pt: int, maxlen: int) -> set:
+    """Bounded language of D[pt]; oracle for the regular pipeline."""
+    if maxlen > 12:
+        raise ValueError("maxlen above 12 is not supported")
+    return set(bounded_languages(g, maxlen).get(nt_d(pt), set()))
+
+
+# ---------------------------------------------------------------------------
+# Simplification lifted to automata
+# ---------------------------------------------------------------------------
+
+def simplify_nfa(m: Nfa) -> Nfa:
+    """Automaton for S(L(m)), over selectors only.
+
+    Cancellation pairs become epsilon edges; bars are then dropped. A state
+    with a 2-edge into a tailing state becomes accepting, since the 2
+    swallows whatever the path read after it.
+    """
+    pairs = cancel_pairs(m)
+    tails = tail_states(m, pairs)
+    out = Nfa(m.n, m.start)
+    out.finals = set(m.finals)
+    for p, q in pairs:
+        if p != q:
+            out.add(p, EPS, q)
+    for p, sym, q in m.edges():
+        if sym in (SEL0, SEL1, EPS):
+            out.add(p, sym, q)
+        elif sym == TWO and q in tails:
+            out.finals.add(p)
+    return out.trim()
+
+
+# ---------------------------------------------------------------------------
+# Per-point completing automata
+# ---------------------------------------------------------------------------
 
 class NotCanonical(FsliceError):
     pass
@@ -162,7 +382,7 @@ class NotCanonical(FsliceError):
 def is_canonical_nfa(m: Nfa) -> bool:
     """Structural shape check: no selector or 2 edge after a bar edge."""
     t = m.trim()
-    after_bar = {q for _, sym, q in t.edges() if sym in _SEL_FOR_BAR}
+    after_bar = {q for _, sym, q in t.edges() if sym in SEL_OF}
     todo = list(after_bar)
     while todo:
         q = todo.pop()
@@ -201,8 +421,8 @@ def create_completing_automaton(a: Nfa) -> Nfa:
                         todo.append(r)
     c = Nfa(a.n + 1, a.n)
     for p, sym, q in a.edges():
-        if sym in _SEL_FOR_BAR:
-            c.add(q, _SEL_FOR_BAR[sym], p)
+        if sym in SEL_OF:
+            c.add(q, SEL_OF[sym], p)
         elif sym == EPS:
             c.add(q, EPS, p)
     for f in a.finals:

@@ -12,23 +12,26 @@ import random
 import statistics
 import time
 
-from fslice.bench import bench_program
 from fslice.criteria import parse_criterion
-from fslice.demand import (
-    ALPHABET, BAR0, BAR1, SEL0, SEL1, TWO, canonicalize, canonicalize_str,
-    concat, format_dset, simplify, simplify_str,
-)
+from fslice.demand import ALPHABET, BAR0, BAR1, SEL0, SEL1, TWO
 from fslice.automata import EPS, from_strings
 from fslice.firstify import firstify, map_back
 from fslice.gen import generate_program
-from fslice.grammar import bounded_languages, generate_equations, instantiate, nt_d
+from fslice.grammar import generate_equations, instantiate, nt_d
 from fslice.lang import Cons, Let, all_labels, app_occs, iter_exprs, print_program
-from fslice.regular import CompiledGrammar, canonicalize_nfa, mn_transform, simplify_nfa
+from fslice.regular import CompiledGrammar, canonicalize_nfa, mn_transform
 from fslice.slicer import extract_residual, in_slice, precompute, slice_inc, slice_noninc
 
 from conftest import golden
-from helpers import SEED, check_soundness, criteria_pool, criterion_nfa, random_finite_criteria
-from oracles import count_prefix_closed, enumerate_prefix_closed
+from helpers import (
+    SEED, check_soundness, criteria_pool, criterion_nfa, median_ms,
+    random_finite_criteria,
+)
+from oracles import (
+    bounded_languages, canonicalize, canonicalize_str, concat,
+    count_prefix_closed, enumerate_prefix_closed, format_dset, simplify,
+    simplify_nfa, simplify_str,
+)
 
 WORKED = (SEL1, TWO, BAR0, SEL0, SEL0, TWO, SEL0, BAR1, BAR1, SEL1, BAR0)
 WORKED_CANONICAL = (SEL1, TWO, SEL0, TWO, SEL0, BAR1, BAR0)
@@ -95,11 +98,10 @@ def test_criterion_04_criterion_acts_as_a_suffix(corpus):
     for name in sorted(corpus):
         p = corpus[name]
         g = generate_equations(p)
-        pt0 = min(all_labels(p))
         eps_langs = bounded_languages(
-            instantiate(g, pt0, criterion_nfa({()})), maxlen)
+            instantiate(g, criterion_nfa({()})), maxlen)
         for cname, crit in criteria_pool():
-            sig_langs = bounded_languages(instantiate(g, pt0, crit), maxlen)
+            sig_langs = bounded_languages(instantiate(g, crit), maxlen)
             sigma = crit.enumerate_upto(maxlen)
             for lab in all_labels(p):
                 want = {a + s for a in eps_langs[nt_d(lab)] for s in sigma
@@ -225,12 +227,17 @@ def test_criterion_10_precomputed_queries_are_an_order_faster():
     slice per criterion, and building the artifact costs at most 10x one
     from-scratch slice. Medians over 5 runs."""
     p = generate_program()
-    assert len(all_labels(p)) >= 500
-    row = bench_program(p, "synth",
-                        ["eps + 0", "eps + 1 + 11 + 110", "(0+1)*"], runs=5)
-    for cell in row.cells:
-        assert cell.inc_ms <= cell.noninc_ms / 10.0, \
-            (cell.criterion, cell.speedup)
-    noninc_med = statistics.median(c.noninc_ms for c in row.cells)
-    assert row.precompute_ms <= 10.0 * noninc_med, \
-        (row.precompute_ms, noninc_med)
+    labels = sorted(all_labels(p))
+    assert len(labels) >= 500
+    precompute_ms = median_ms(lambda: precompute(p), runs=5)
+    art = precompute(p)
+    noninc = []
+    for text in ("eps + 0", "eps + 1 + 11 + 110", "(0+1)*"):
+        crit = parse_criterion(text)
+        noninc_ms = median_ms(lambda: slice_noninc(p, crit), runs=5)
+        inc_ms = median_ms(
+            lambda: [in_slice(art, lab, crit) for lab in labels], runs=5)
+        assert inc_ms <= noninc_ms / 10.0, (text, noninc_ms / inc_ms)
+        noninc.append(noninc_ms)
+    noninc_med = statistics.median(noninc)
+    assert precompute_ms <= 10.0 * noninc_med, (precompute_ms, noninc_med)

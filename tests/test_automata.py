@@ -67,12 +67,6 @@ def test_trim_and_renumber_preserve_language(strings):
 
 
 @given(string_sets)
-def test_reversed_language(strings):
-    m = from_strings(strings).reversed_lang()
-    assert m.enumerate_upto(5) == {tuple(reversed(s)) for s in strings}
-
-
-@given(string_sets)
 def test_prefix_closed_language(strings):
     m = from_strings(strings).prefix_closed()
     want = {s[:i] for s in strings for i in range(len(s) + 1)}

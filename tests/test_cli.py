@@ -11,6 +11,7 @@ import pytest
 from fslice.cli import main
 from fslice.criteria import parse_criterion
 from fslice.firstify import map_back
+from fslice.gen import generate_source
 from fslice.lang import (all_labels, label_name, parse_label_name,
                          parse_program, print_program)
 from fslice.slicer import extract_residual, slice_noninc
@@ -115,12 +116,23 @@ def test_slice_bad_criterion_is_an_analysis_error(capsys, text):
     assert err.startswith("fslice:")
 
 
+def test_too_deeply_nested_program_is_an_analysis_error(capsys, tmp_path):
+    src = tmp_path / "deep.fsl"
+    src.write_text(generate_source(1000, 0), encoding="utf-8")
+    code, _, err = run_cli(capsys, "slice", src, "--criterion", "eps")
+    assert code == 2
+    assert err.startswith("fslice:")
+    assert "nests too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_slice_dump_flags_write_to_stderr(capsys):
     code, out, err = run_cli(capsys, "slice", LCC, "--criterion", "eps + 0",
                              "--dump-grammar", "--dump-automaton", "pi1")
     assert code == 0
     assert "; demand grammar" in err
     assert "; after regular approximation" in err
+    assert "D'[" not in err and "$" not in err
     line = next(li for li in err.splitlines() if li.startswith("{"))
     doc = json.loads(line)
     assert set(doc) == {"states", "start", "finals", "trans"}
@@ -354,39 +366,6 @@ def test_run_rejects_higher_order_programs(capsys):
     code, _, err = run_cli(capsys, "run", HOF)
     assert code == 2
     assert err.startswith("fslice:")
-
-
-# -- bench -----------------------------------------------------------------------
-
-def test_bench_reports_a_table_and_json(capsys, tmp_path):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    shutil.copy(LCC, corpus / "lcc.fsl")
-    shutil.copy(CORPUS / "take.fsl", corpus / "take.fsl")
-    json_f = tmp_path / "bench.json"
-    code, out, _ = run_cli(capsys, "bench", corpus,
-                           "--criteria", "eps + 0; eps", "--runs", "1",
-                           "--json", json_f)
-    assert code == 0
-    assert "incremental faster in" in out
-    assert "medians over 1 runs" in out
-    doc = json.loads(json_f.read_text(encoding="utf-8"))
-    assert doc["runs"] == 1
-    assert [r["program"] for r in doc["rows"]] == ["lcc", "take"]
-    for row in doc["rows"]:
-        assert row["points"] == len(all_labels(load(corpus / (row["program"] + ".fsl"))))
-        assert len(row["cells"]) == 2
-        for cell in row["cells"]:
-            assert set(cell) == {"criterion", "noninc_ms", "inc_ms", "kept"}
-
-
-def test_bench_with_no_criteria_is_a_usage_error(capsys, tmp_path):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    shutil.copy(LCC, corpus / "lcc.fsl")
-    code, _, err = run_cli(capsys, "bench", corpus, "--criteria", " ; ")
-    assert code == 1
-    assert "no criteria" in err
 
 
 def test_every_corpus_program_slices_from_the_command_line(capsys):

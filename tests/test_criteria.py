@@ -9,7 +9,9 @@ from fslice.criteria import (
     Alt, Cat, CriterionError, Eps, Star, Sym, parse_criterion, parse_regex,
     regex_to_nfa, regex_to_text, validate_criterion,
 )
-from fslice.demand import SEL0, SEL1, prefix_close
+from fslice.demand import SEL0, SEL1
+
+from oracles import prefix_close
 
 AB = (SEL0, SEL1)
 

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fslice.demand import (
-    ALPHABET, BAR0, BAR1, SEL0, SEL1, TWO, all_strings_upto, canonicalize,
-    canonicalize_str, concat, format_dset, format_dstr, from_path,
-    is_canonical_shape, is_prefix_closed, parse_dstr, prefix_close, simplify,
-    simplify_str, to_path,
+from fslice.demand import ALPHABET, BAR0, BAR1, SEL0, SEL1, TWO
+from oracles import (
+    all_strings_upto, canonicalize, canonicalize_str, concat, format_dset,
+    format_dstr, from_path, is_canonical_shape, is_prefix_closed, parse_dstr,
+    prefix_close, simplify, simplify_str, to_path,
 )
 
 # One string exercised through both transforms, frozen symbol by symbol.

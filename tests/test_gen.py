@@ -1,13 +1,7 @@
-"""Benchmark-program generator and timing-harness tests."""
-
-import json
+"""Benchmark-program generator tests."""
 
 import pytest
 
-from fslice.bench import (
-    BenchReport, BenchRow, CriterionCell, bench_program, format_table,
-    report_to_json, run_bench,
-)
 from fslice.gen import generate_program, generate_source
 from fslice.interp import run
 from fslice.lang import all_labels, parse_program, validate
@@ -58,68 +52,3 @@ def test_generated_programs_slice_both_ways():
     noninc = slice_noninc(p, crit)
     from fslice.slicer import slice_inc
     assert slice_inc(p, art, crit).keep == noninc.keep
-
-
-# -- timing harness ----------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def small_report():
-    p = generate_program(n_bindings=40, seed=5, min_points=0)
-    row = bench_program(p, "synth40", ["eps + 0", "eps"], runs=1)
-    return BenchReport(runs=1, rows=[row])
-
-
-def test_bench_row_shape(small_report):
-    row = small_report.rows[0]
-    assert row.program == "synth40"
-    assert row.points > 0
-    assert row.precompute_ms > 0
-    assert [c.criterion for c in row.cells] == ["eps + 0", "eps"]
-    for cell in row.cells:
-        assert cell.noninc_ms > 0
-        assert cell.inc_ms > 0
-        assert 0 < cell.kept <= row.points
-
-
-def test_speedup_is_the_ratio():
-    cell = CriterionCell("eps", noninc_ms=10.0, inc_ms=2.0, kept=3)
-    assert cell.speedup == 5.0
-    assert CriterionCell("eps", 1.0, 0.0, 1).speedup == float("inf")
-
-
-def test_all_faster_flag():
-    fast = BenchReport(runs=1, rows=[BenchRow("x", 1, 1.0, [
-        CriterionCell("eps", 10.0, 1.0, 1)])])
-    slow = BenchReport(runs=1, rows=[BenchRow("x", 1, 1.0, [
-        CriterionCell("eps", 1.0, 10.0, 1)])])
-    assert fast.all_faster
-    assert not slow.all_faster
-
-
-def test_format_table_mentions_every_program_and_footer(small_report):
-    text = format_table(small_report)
-    assert "synth40" in text
-    assert "incremental faster in" in text
-    assert "/2 cells" in text
-    assert "medians over 1 runs" in text
-
-
-def test_report_round_trips_through_json(small_report):
-    doc = json.loads(report_to_json(small_report))
-    assert doc["runs"] == 1
-    row = doc["rows"][0]
-    assert row["program"] == "synth40"
-    assert len(row["cells"]) == 2
-    assert set(row["cells"][0]) == {"criterion", "noninc_ms", "inc_ms", "kept"}
-
-
-def test_run_bench_accepts_a_list_of_paths(tmp_path):
-    src = tmp_path / "tiny.fsl"
-    src.write_text(generate_source(n_bindings=20, seed=9), encoding="utf-8")
-    report = run_bench([src], ["eps"], runs=1)
-    assert [r.program for r in report.rows] == ["tiny"]
-
-
-def test_run_bench_rejects_nonpositive_runs(tmp_path):
-    with pytest.raises(ValueError, match="positive"):
-        run_bench([], ["eps"], runs=0)

@@ -3,14 +3,15 @@
 import pytest
 
 from fslice.automata import from_strings
-from fslice.demand import BAR0, BAR1, END, SEL0, SEL1, TWO
+from fslice.criteria import CriterionError
+from fslice.demand import BAR0, BAR1, SEL0, SEL1, TWO
 from fslice.grammar import (
-    CRIT, bounded_languages, eval_finite, format_nt, generate_equations,
-    instantiate, nt_d, nt_dp, nt_fn, nt_sum,
+    CRIT, format_nt, generate_equations, instantiate, nt_d, nt_fn, nt_sum,
 )
-from fslice.lang import ValidateError, all_labels, parse_program, validate
+from fslice.lang import all_labels, parse_program, validate
 
 from helpers import criterion_nfa
+from oracles import bounded_languages, eval_finite
 
 EPS_CRIT = frozenset({()})
 HEAD_CRIT = frozenset({(), (SEL0,)})
@@ -32,7 +33,7 @@ def straight():
 
 def test_straight_line_languages_under_eps(straight):
     g = generate_equations(straight)
-    gi = instantiate(g, 1, criterion_nfa(EPS_CRIT))
+    gi = instantiate(g, criterion_nfa(EPS_CRIT))
     assert eval_finite(gi, 13, 4) == {()}
     assert eval_finite(gi, 7, 4) == {()}
     assert eval_finite(gi, 5, 4) == {()}
@@ -46,19 +47,10 @@ def test_straight_line_languages_under_eps(straight):
 
 def test_straight_line_languages_under_head(straight):
     g = generate_equations(straight)
-    gi = instantiate(g, 1, criterion_nfa(HEAD_CRIT))
+    gi = instantiate(g, criterion_nfa(HEAD_CRIT))
     assert eval_finite(gi, 5, 4) == {(), (SEL0,)}
     assert eval_finite(gi, 6, 4) == {(TWO,), (TWO, SEL0),
                                      (SEL0,), (SEL0, SEL0)}
-
-
-def test_primed_start_appends_end_marker(straight):
-    g = generate_equations(straight)
-    gi = instantiate(g, 1, criterion_nfa(EPS_CRIT))
-    langs = bounded_languages(gi, 4)
-    assert langs[nt_dp(1)] == {s + (END,) for s in langs[nt_d(1)]
-                               if len(s) < 4}
-    assert END not in {c for s in langs[nt_d(1)] for c in s}
 
 
 def test_lcc_parameter_summaries(corpus):
@@ -72,7 +64,7 @@ def test_lcc_parameter_summaries(corpus):
 
 def test_lcc_pinned_point_language(corpus):
     g = generate_equations(corpus["lcc"])
-    gi = instantiate(g, 1, criterion_nfa(HEAD_CRIT))
+    gi = instantiate(g, criterion_nfa(HEAD_CRIT))
     assert eval_finite(gi, 1, 3) == {
         (BAR0,), (BAR0, SEL0),
         (TWO, BAR0), (TWO, BAR0, SEL0),
@@ -89,7 +81,7 @@ def test_unused_parameter_and_uncalled_function_have_empty_languages():
            "  (return r))))")
     p = validate(parse_program(src))
     g = generate_equations(p)
-    gi = instantiate(g, 5, criterion_nfa(HEAD_CRIT))
+    gi = instantiate(g, criterion_nfa(HEAD_CRIT))
     assert eval_finite(gi, 5, 6) == set()
     assert eval_finite(gi, 4, 6) == set()
     assert eval_finite(gi, 9, 6) == set()
@@ -102,12 +94,11 @@ def test_criterion_acts_as_a_suffix(corpus):
     for name in ("lcc", "append"):
         p = corpus[name]
         g = generate_equations(p)
-        first = min(all_labels(p))
-        eps_langs = bounded_languages(instantiate(g, first, criterion_nfa(
-            EPS_CRIT)), maxlen)
+        eps_langs = bounded_languages(
+            instantiate(g, criterion_nfa(EPS_CRIT)), maxlen)
         for sigma in (HEAD_CRIT, frozenset({(), (SEL1,), (SEL1, SEL1)})):
             sig_langs = bounded_languages(
-                instantiate(g, first, criterion_nfa(sigma)), maxlen)
+                instantiate(g, criterion_nfa(sigma)), maxlen)
             for lab in all_labels(p):
                 want = {s + t for s in eps_langs[nt_d(lab)] for t in sigma
                         if len(s + t) <= maxlen}
@@ -129,24 +120,23 @@ def test_every_label_has_a_demand_nonterminal(corpus):
 @pytest.mark.parametrize("crit,msg", [
     (from_strings([]), "empty"),
     (from_strings([(SEL0,)]), "prefix-closed"),
-    (from_strings([(TWO,)]), "non-selector"),
+    (from_strings([(TWO,)]), "non-path"),
 ])
 def test_instantiate_rejects_bad_criteria(straight, crit, msg):
     g = generate_equations(straight)
-    with pytest.raises(ValidateError, match=msg):
-        instantiate(g, 1, crit)
+    with pytest.raises(CriterionError, match=msg):
+        instantiate(g, crit)
 
 
 def test_eval_finite_caps_maxlen(straight):
     g = generate_equations(straight)
-    gi = instantiate(g, 1, criterion_nfa(EPS_CRIT))
+    gi = instantiate(g, criterion_nfa(EPS_CRIT))
     with pytest.raises(ValueError):
         eval_finite(gi, 1, 13)
 
 
 def test_formatting_and_dump(straight):
     assert format_nt(nt_d(3)) == "D[pi3]"
-    assert format_nt(nt_dp(3)) == "D'[pi3]"
     assert format_nt(nt_sum("f", 2)) == "Sum[f,2]"
     assert format_nt(nt_fn("f")) == "Fn[f]"
     assert format_nt(CRIT) == "Crit"

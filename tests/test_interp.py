@@ -4,7 +4,7 @@ import pytest
 
 from fslice.interp import (
     NIL, FuelExhausted, HoleObserved, Loc, StuckError, observe, project, run,
-    to_py, to_pylist,
+    to_py,
 )
 from fslice.lang import parse_program
 
@@ -142,16 +142,5 @@ def test_observe_and_project():
     assert observe(res.value, res.heap, (1, 1, 0)) == "undef"
     got = project(res.value, res.heap, [(), (0,), (1, 1)])
     assert got == {(): "pair", (0,): ("int", 2), (1, 1): "nil"}
-    assert to_pylist(res.value, res.heap) == [2, 1]
-
-
-def test_to_pylist_rejects_improper_list():
-    src = ("(define (main)\n"
-           "  (let a ← 1 in\n"
-           "  (let b ← 2 in\n"
-           "  (let p ← (cons a b) in\n"
-           "  (return p)))))")
-    res = run_src(src)
-    with pytest.raises(ValueError):
-        to_pylist(res.value, res.heap)
+    assert to_py(res.value, res.heap) == (2, (1, None))
     assert to_py(NIL, res.heap) is None

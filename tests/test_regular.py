@@ -6,20 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fslice.automata import EPS, Nfa, from_strings
+from fslice.automata import EPS, Nfa, from_strings, intersect_nonempty
 from fslice.demand import ALPHABET, BAR0, BAR1, SEL0, SEL1, TWO
 from fslice.grammar import (
-    DemandGrammar, bounded_languages, generate_equations, instantiate, nt_d,
-    nt_fn, nt_sum,
+    DemandGrammar, generate_equations, instantiate, nt_d, nt_fn, nt_sum,
 )
 from fslice.regular import (
     CompiledGrammar, NotStronglyRegular, cancel_pairs, canonicalize_nfa,
-    enumerate_upto, intersect_nonempty, mn_transform, mohri_nederhof,
-    scc_partition, simplify_nfa, tail_states,
+    mn_transform, scc_partition, tail_states,
 )
 
 from helpers import FINITE_CRITERIA, criterion_nfa
-from oracles import NotCanonical, create_completing_automaton, is_canonical_nfa
+from oracles import (
+    NotCanonical, bounded_languages, create_completing_automaton,
+    is_canonical_nfa, simplify_nfa,
+)
 from test_demand import WORKED, WORKED_CANONICAL
 
 A, B, C, X = nt_fn("A"), nt_fn("B"), nt_fn("C"), nt_fn("X")
@@ -97,7 +98,7 @@ def test_mixed_component_language_only_grows():
 
 def test_mohri_nederhof_on_lcc_summary(corpus):
     g = generate_equations(corpus["lcc"])
-    m = mohri_nederhof(g, nt_sum("linecharcount", 2))
+    m = CompiledGrammar(mn_transform(g)).nfa(nt_sum("linecharcount", 2))
     assert lang(m, 5) == {(TWO,) * k + (BAR0,) for k in range(5)}
 
 
@@ -111,7 +112,7 @@ def test_compiled_nfa_covers_grammar_language(corpus, name):
     from fslice.lang import all_labels
     p = corpus[name]
     g = generate_equations(p)
-    gi = instantiate(g, min(all_labels(p)), criterion_nfa(frozenset({()})))
+    gi = instantiate(g, criterion_nfa(frozenset({()})))
     exact = bounded_languages(gi, 5)
     t = mn_transform(gi)
     cg = CompiledGrammar(t)
@@ -238,7 +239,7 @@ def test_is_canonical_nfa_rejects_selector_after_bar():
 ])
 def test_completing_automaton_hand_cases(strings, want):
     comp = create_completing_automaton(from_strings(strings))
-    assert enumerate_upto(comp, 5) == want
+    assert comp.enumerate_upto(5) == want
 
 
 def test_completing_automaton_requires_canonical_input():
@@ -262,9 +263,4 @@ def test_completing_decisions_match_the_oracle(strings):
 def test_completion_cores_are_bar_suffixes_reversed():
     strings = {(SEL0, TWO, BAR1, BAR0), (SEL1,), (TWO, BAR1)}
     comp = create_completing_automaton(from_strings(strings))
-    assert enumerate_upto(comp, 5) == {(SEL0, SEL1), (), (SEL1,)}
-
-
-def test_enumerate_upto_guards_its_bound():
-    with pytest.raises(ValueError):
-        enumerate_upto(from_strings({()}), 13)
+    assert comp.enumerate_upto(5) == {(SEL0, SEL1), (), (SEL1,)}

@@ -7,11 +7,12 @@ import json
 from itertools import combinations
 
 from fslice.automata import equivalent, from_strings
+from fslice.criteria import CriterionError
 from fslice.demand import SEL0, SEL1
 from fslice.gen import generate_program
 from fslice.grammar import generate_equations, instantiate, nt_d
 from fslice.lang import (
-    FsliceError, Hole, ValidateError, all_labels, label_index, parse_program,
+    FsliceError, Hole, all_labels, label_index, parse_program,
     print_program, validate,
 )
 from fslice.regular import CompiledGrammar, canonicalize_nfa, mn_transform
@@ -142,7 +143,7 @@ def test_empty_criterion_keeps_nothing_incrementally(corpus, artifacts):
     empty = from_strings([])
     assert not any(in_slice(artifacts["append"], lab, empty)
                    for lab in all_labels(p))
-    with pytest.raises(ValidateError):
+    with pytest.raises(CriterionError, match="empty"):
         slice_noninc(p, empty)
 
 
@@ -290,8 +291,7 @@ def test_stored_automata_match_the_per_point_construction(corpus, tmp_path):
     programs = sorted(corpus.items()) + [("generated", generate_program())]
     for name, p in programs:
         art = precompute(p)
-        g = instantiate(generate_equations(p), min(all_labels(p)),
-                        epsilon_criterion())
+        g = instantiate(generate_equations(p), epsilon_criterion())
         cg = CompiledGrammar(mn_transform(g))
         for lab in all_labels(p):
             want = create_completing_automaton(
