@@ -17,6 +17,10 @@ from collections import deque
 from itertools import product as iproduct
 
 EPS = ""
+# shared read-only answers for a state or symbol without moves, so lookups
+# allocate nothing
+_NO_MOVES: dict[str, set[int]] = {}
+_NO_STATES: frozenset[int] = frozenset()
 
 
 class Nfa:
@@ -54,15 +58,16 @@ class Nfa:
 
     # -- basic queries ------------------------------------------------------
 
-    def succ(self, state: int, sym: str) -> set[int]:
-        return self.trans.get(state, {}).get(sym, set())
+    def succ(self, state: int, sym: str) -> set[int] | frozenset[int]:
+        return self.trans.get(state, _NO_MOVES).get(sym, _NO_STATES)
 
     def eps_closure(self, states) -> frozenset[int]:
         seen = set(states)
         todo = list(states)
+        trans = self.trans
         while todo:
             q = todo.pop()
-            for r in self.succ(q, EPS):
+            for r in trans.get(q, _NO_MOVES).get(EPS, _NO_STATES):
                 if r not in seen:
                     seen.add(r)
                     todo.append(r)

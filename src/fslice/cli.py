@@ -18,8 +18,8 @@ import sys
 
 from . import __version__
 from .criteria import parse_criterion
-from .lang import (FsliceError, label_name, parse_label_name, parse_program,
-                   print_program, validate)
+from .lang import (FsliceError, all_labels, label_name, parse_label_name,
+                   parse_program, print_program, validate)
 from .slicer import (ArtifactMismatch, in_slice, load_artifact, precompute,
                      save_artifact, slice_inc, slice_noninc)
 
@@ -62,6 +62,10 @@ def _write_or_print(text: str, out: str | None):
 
 def _cmd_slice(args) -> int:
     p = _load_program(args.program)
+    if args.dump_automaton is not None:
+        lab = parse_label_name(args.dump_automaton)
+        if lab not in all_labels(p):
+            raise FsliceError(f"label {label_name(lab)} not in program")
     crit = _criterion(args)
     if args.dump_grammar:
         from .grammar import generate_equations, instantiate
@@ -80,7 +84,6 @@ def _cmd_slice(args) -> int:
         from .grammar import generate_equations, instantiate, nt_d
         from .regular import CompiledGrammar, mn_transform, canonicalize_nfa
         from .slicer import nfa_to_json
-        lab = parse_label_name(args.dump_automaton)
         g = instantiate(generate_equations(p), crit)
         cg = CompiledGrammar(mn_transform(g))
         canon = canonicalize_nfa(cg.nfa(nt_d(lab))).renumbered()

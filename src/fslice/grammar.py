@@ -16,7 +16,9 @@ demand; an if guard sees 2 Fn[f] (only the spine of the guard is
 inspected); car maps demand d to 2d and 0d on its argument, cdr to 2d and
 1d, null? and arithmetic to 2d; the two cons arguments prepend 0-bar and
 1-bar; a call argument prepends the callee's summary; a let's right-hand
-side collects the demands of every occurrence of the bound variable. Since
+side collects the demands of every occurrence of the bound variable, read
+from the function's use index (``lang.use_index``, one walk per function,
+so the grammar is built in time linear in the program). Since
 applications occur only on let right-hand sides, every spine expression's
 value is the function's result, so expression labels map straight to Fn[f].
 
@@ -35,7 +37,7 @@ from .criteria import validate_criterion
 from .demand import BAR0, BAR1, SEL0, SEL1, TWO
 from .lang import (
     Call, Car, Cdr, Cons, If, Let, NullQ, Prim, Program, Return, app_occs,
-    iter_exprs, label_name, occurrences_of,
+    iter_exprs, label_name, use_index,
 )
 
 NonTerm = tuple
@@ -134,7 +136,8 @@ class DemandGrammar:
 
 
 def generate_equations(p: Program) -> DemandGrammar:
-    """The demand grammar of a whole program, criterion left abstract."""
+    """The demand grammar of a whole program, criterion left abstract;
+    ``p`` must pass ``lang.validate``, whose scoping the let rule needs."""
     g = DemandGrammar()
     g.declare(CRIT)
     for d in p.defs:
@@ -142,6 +145,7 @@ def generate_equations(p: Program) -> DemandGrammar:
         for i in range(1, len(d.params) + 1):
             g.declare(nt_sum(d.name, i))
         fn = nt_fn(d.name)
+        uses = use_index(d)
         for e in iter_exprs(d.body):
             g.declare(nt_d(e.label))
             g.add(nt_d(e.label), (fn,))
@@ -162,7 +166,7 @@ def generate_equations(p: Program) -> DemandGrammar:
                 g.declare(ctx_d)
                 for o in app_occs(rhs):
                     g.declare(nt_d(o.label))
-                for use in occurrences_of(e.var, e.body):
+                for use in uses.get(e.var, ()):
                     g.add(ctx_d, (nt_d(use.label),))
                     g.add(ctx_p, (nt_p(use.label),))
                 if isinstance(rhs, Cons):
@@ -189,7 +193,7 @@ def generate_equations(p: Program) -> DemandGrammar:
         for i, prm in enumerate(d.params, start=1):
             if prm is None:
                 continue
-            for use in occurrences_of(prm, d.body):
+            for use in uses.get(prm, ()):
                 g.add(nt_sum(d.name, i), (nt_p(use.label),))
     g.add(nt_fn("main"), (CRIT,))
     return g

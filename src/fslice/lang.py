@@ -203,13 +203,16 @@ def app_occs(app: App) -> list[Occ]:
 
 
 def iter_exprs(e: Expr):
-    """All expressions of a spine, pre-order."""
-    yield e
-    if isinstance(e, If):
-        yield from iter_exprs(e.then)
-        yield from iter_exprs(e.orelse)
-    elif isinstance(e, Let):
-        yield from iter_exprs(e.body)
+    """All expressions of a spine, pre-order, by an explicit stack."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, If):
+            stack.append(e.orelse)
+            stack.append(e.then)
+        elif isinstance(e, Let):
+            stack.append(e.body)
 
 
 def iter_labeled(p: Program):
@@ -247,18 +250,22 @@ def label_index(p: Program) -> dict[int, tuple[str, object]]:
     return {lab: (kind, node) for lab, kind, node in iter_labeled(p)}
 
 
-def occurrences_of(var: str, e: Expr) -> list[Occ]:
-    """All labeled occurrences of ``var`` within a spine."""
-    out = []
-    for sub in iter_exprs(e):
-        if isinstance(sub, Return):
-            cands = [sub.value]
-        elif isinstance(sub, If):
-            cands = [sub.guard]
+def use_index(d: FunDef) -> dict[str, list[Occ]]:
+    """Each variable name of a function -> its labeled occurrences, in
+    pre-order, from one walk. Under ``validate``'s scoping, a let
+    variable's occurrences are exactly its uses in the let's body."""
+    uses: dict[str, list[Occ]] = {}
+    for e in iter_exprs(d.body):
+        if isinstance(e, Return):
+            occs = (e.value,)
+        elif isinstance(e, If):
+            occs = (e.guard,)
         else:
-            cands = app_occs(sub.rhs)
-        out.extend(o for o in cands if o.name == var)
-    return out
+            occs = app_occs(e.rhs)
+        for o in occs:
+            if o.name is not None:
+                uses.setdefault(o.name, []).append(o)
+    return uses
 
 
 def assign_labels(p: Program) -> Program:
@@ -492,6 +499,9 @@ def parse_program(text: str) -> Program:
 def validate(p: Program, *, higher_order: bool = False) -> Program:
     """Check names, arities, label uniqueness, and the main entry point.
 
+    A use must sit in its let's body (or anywhere, for a parameter), and no
+    name is bound twice in one function, not even in two if branches.
+
     With ``higher_order=True`` the relaxed rules used before firstification
     apply: call targets may be variables, function and selector names may
     appear as arguments, and a call to a known function may supply fewer
@@ -516,7 +526,7 @@ def validate(p: Program, *, higher_order: bool = False) -> Program:
         seen_labels.add(lab)
 
     for d in p.defs:
-        bound: set[str] = set()
+        bound: set[str] = set()  # in scope; ``binders``: bound anywhere
         for prm in d.params:
             if prm is None:
                 continue
@@ -525,6 +535,7 @@ def validate(p: Program, *, higher_order: bool = False) -> Program:
             if prm in arity:
                 raise ValidateError(f"{d.name}: parameter {prm} shadows a function")
             bound.add(prm)
+        binders = set(bound)
 
         def check_occ(occ: Occ, where: str):
             if occ.name is None:
@@ -537,13 +548,18 @@ def validate(p: Program, *, higher_order: bool = False) -> Program:
                 return
             raise ValidateError(f"{d.name}: unbound variable {occ.name} in {where}")
 
-        def check_expr(e: Expr):
-            if isinstance(e, Return):
+        # a let's variable sits under its body: popped, it leaves scope
+        stack: list[Expr | str] = [d.body]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, str):
+                bound.discard(e)
+            elif isinstance(e, Return):
                 check_occ(e.value, "return")
             elif isinstance(e, If):
                 check_occ(e.guard, "if guard")
-                check_expr(e.then)
-                check_expr(e.orelse)
+                stack.append(e.orelse)
+                stack.append(e.then)
             else:
                 rhs = e.rhs
                 for occ in app_occs(rhs):
@@ -561,14 +577,14 @@ def validate(p: Program, *, higher_order: bool = False) -> Program:
                     else:
                         raise ValidateError(f"{d.name}: call to unknown function "
                                             f"{rhs.fn}")
-                if e.var in bound:
+                if e.var in binders:
                     raise ValidateError(f"{d.name}: rebinding of {e.var}")
                 if e.var in arity:
                     raise ValidateError(f"{d.name}: binder {e.var} shadows a function")
+                binders.add(e.var)
                 bound.add(e.var)
-                check_expr(e.body)
-
-        check_expr(d.body)
+                stack.append(e.var)
+                stack.append(e.body)
     return p
 
 

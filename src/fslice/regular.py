@@ -20,7 +20,10 @@ Pipeline pieces, in the order the slicer uses them:
 
 * ``cancel_pairs`` saturates an automaton with the Dyck-style cancellation
   relation: state pairs connected by some path whose labels erase under
-  0̄0 -> ε and 1̄1 -> ε. The pairs act as extra epsilon edges.
+  0̄0 -> ε and 1̄1 -> ε. The pairs act as extra epsilon edges. It is a
+  worklist saturation in the style of Dyck/CFL reachability (Reps 1998):
+  a new pair extends only the closures it can change, so no pass
+  recomputes the closures that are already complete.
 
 * ``tail_states`` finds the states from which the rest of a string can
   erase completely: over selector, epsilon and cancellation edges they
@@ -371,38 +374,82 @@ def cancel_pairs(m: Nfa) -> set[tuple[int, int]]:
     cancellation. Reflexive and epsilon-implied pairs are left implicit;
     callers treat the result as extra epsilon edges, so plain reachability
     supplies transitivity.
+
+    A pair comes from a bar edge p -b̄-> x, a state y that x reaches over
+    epsilon and derived edges, and a matching selector edge y -b-> q. The
+    saturation is a worklist, as in Dyck/CFL reachability (Reps, "Program
+    Analysis via Graph Reachability", 1998): every bar-edge target x keeps
+    the closure it has reached so far, and each bar source records the
+    closures that contain it. A new derived pair (a, c) extends only the
+    closures that contain a, so each (closure, state) step is taken once,
+    instead of recomputing every closure per round until nothing changes.
+    Closures skip states whose one move is an epsilon edge (most of a
+    compiled grammar's states): such a state reaches what its chain's end
+    reaches, and it neither reads a selector nor gains derived edges.
     """
-    bar_edges = [(p, sym, x) for p, sym, x in m.edges() if sym in _SEL_FOR_BAR]
-    eps_adj: dict[int, set[int]] = {}
+    hop = _chain_ends(m)
+    adj: dict[int, list[int]] = {}  # epsilon edges, then derived ones
+    bars_into: dict[int, list[tuple[int, str]]] = {}
+    watchers: dict[int, list[int]] = {}  # p -> the closures that reach p
     for p, sym, x in m.edges():
         if sym == EPS:
-            eps_adj.setdefault(p, set()).add(x)
-    derived: dict[int, set[int]] = {}
+            if p not in hop:
+                adj.setdefault(p, []).append(hop.get(x, x))
+        elif sym in _SEL_FOR_BAR:
+            bars_into.setdefault(x, []).append((p, _SEL_FOR_BAR[sym]))
+            watchers[p] = []
+    reached: dict[int, set[int]] = {x: set() for x in bars_into}
     pairs: set[tuple[int, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for p, bsym, x in bar_edges:
-            sel = _SEL_FOR_BAR[bsym]
-            seen = {x}
-            todo = [x]
-            while todo:
-                y = todo.pop()
-                for z in eps_adj.get(y, ()):
-                    if z not in seen:
-                        seen.add(z)
-                        todo.append(z)
-                for z in derived.get(y, ()):
-                    if z not in seen:
-                        seen.add(z)
-                        todo.append(z)
-            for y in seen:
-                for q in m.succ(y, sel):
+    todo = [(x, hop.get(x, x)) for x in bars_into]  # (closure, new state)
+    while todo:
+        x, y = todo.pop()
+        seen = reached[x]
+        if y in seen:
+            continue
+        seen.add(y)
+        stack = [y]
+        while stack:
+            y = stack.pop()
+            if y in watchers:
+                watchers[y].append(x)
+            for z in adj.get(y, ()):
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+            out = m.trans.get(y)
+            if not out:
+                continue
+            for p, sel in bars_into[x]:
+                for q in out.get(sel, ()):
                     if (p, q) not in pairs:
                         pairs.add((p, q))
-                        derived.setdefault(p, set()).add(q)
-                        changed = True
+                        q = hop.get(q, q)
+                        adj.setdefault(p, []).append(q)
+                        todo.extend((w, q) for w in watchers[p]
+                                    if q not in reached[w])
     return pairs
+
+
+def _chain_ends(m: Nfa) -> dict[int, int]:
+    """Each state whose one move is an epsilon edge -> the first state down
+    its chain of such states that has other moves, or none. On a cycle of
+    such states, one member stands for the cycle: the others map to it, and
+    it is left out."""
+    nxt = {}
+    for p, out in m.trans.items():
+        if len(out) == 1 and len(out.get(EPS, ())) == 1:
+            (nxt[p],) = out[EPS]
+    ends: dict[int, int] = {}
+    for p in nxt:
+        path = []
+        while p in nxt and p not in ends:
+            ends[p] = p  # stands for the end if the chain comes back here
+            path.append(p)
+            p = nxt[p]
+        end = ends.get(p, p)
+        for q in path:
+            ends[q] = end
+    return {p: end for p, end in ends.items() if p != end}
 
 
 def _with_cancel(m: Nfa) -> Nfa:
@@ -427,12 +474,12 @@ def tail_states(m: Nfa, eps_pairs=()) -> set[int]:
     ``eps_pairs`` are extra epsilon edges (p, q), such as the cancellation
     pairs of ``m``, so callers need not copy the automaton to add them.
     """
-    back: dict[int, set[int]] = {}
+    back: dict[int, list[int]] = {}
     for p, sym, q in m.edges():
         if sym in (SEL0, SEL1, EPS):
-            back.setdefault(q, set()).add(p)
+            back.setdefault(q, []).append(p)
     for p, q in eps_pairs:
-        back.setdefault(q, set()).add(p)
+        back.setdefault(q, []).append(p)
     two_edges = [(p, q) for p, sym, q in m.edges() if sym == TWO]
 
     def back_closure(seed: set[int]) -> set[int]:

@@ -39,7 +39,7 @@ from .grammar import generate_equations, instantiate, nt_d
 from .lang import (
     Call, Car, Cdr, Cons, Const, FsliceError, FunDef, Hole, If, Let, Nil,
     NullQ, Occ, ParseError, Prim, Program, Return, all_labels, iter_exprs,
-    label_name, occurrences_of, parse_label_name, print_program,
+    label_name, parse_label_name, print_program, use_index,
 )
 from .regular import CompiledGrammar, cancel_pairs, mn_transform, tail_states
 
@@ -246,12 +246,6 @@ def slice_inc(p: Program, art: PrecomputeArtifact, crit: Nfa) -> SliceResult:
 # Residuals
 # ---------------------------------------------------------------------------
 
-def _apps_of(e):
-    for sub in iter_exprs(e):
-        if isinstance(sub, Let):
-            yield sub.rhs
-
-
 def extract_residual(p: Program, keep: dict[int, bool]) -> Program:
     def occ(o: Occ) -> Occ:
         return Occ(o.name if keep.get(o.label, False) else None, o.label)
@@ -290,19 +284,18 @@ def extract_residual(p: Program, keep: dict[int, bool]) -> Program:
 
     defs = []
     for d in p.defs:
-        params: list[str | None] = []
-        for prm in d.params:
-            if prm is None:
-                params.append(None)
-                continue
-            uses = occurrences_of(prm, d.body)
-            alive = any(keep.get(u.label, False) for u in uses)
+        params = list(d.params)
+        if any(params):
+            uses = use_index(d)
             # A name can also be consumed in callee position (relevant for
             # programs produced by mapping a slice back through firstify).
-            alive = alive or any(
-                isinstance(a, Call) and a.fn == prm and keep.get(a.label, False)
-                for a in _apps_of(d.body))
-            params.append(prm if alive else None)
+            called = {e.rhs.fn for e in iter_exprs(d.body)
+                      if isinstance(e, Let) and isinstance(e.rhs, Call)
+                      and keep.get(e.rhs.label, False)}
+            params = [prm if prm in called or any(
+                          keep.get(u.label, False) for u in uses.get(prm, ()))
+                      else None
+                      for prm in params]
         defs.append(FunDef(d.name, params, expr(d.body)))
     return Program(defs)
 

@@ -13,6 +13,11 @@ never ship.
   grammar derives, by a truncated fixpoint.
 * ``simplify_nfa``: S lifted to automata, the counterpart of the library's
   ``regular.canonicalize_nfa``.
+* ``cancel_pairs_by_rounds``: cancellation saturation as a plain fixpoint
+  that recomputes every bar edge's closure per round, the reference for
+  the worklist ``regular.cancel_pairs``.
+* ``occurrences_of``: a variable's occurrences in one spine, by a direct
+  scan, the reference for ``lang.use_index``.
 * ``create_completing_automaton`` builds one point's completing automaton
   straight from that point's canonical automaton: the reference every
   automaton ``slicer.precompute`` stores must be equivalent to.
@@ -25,7 +30,7 @@ from itertools import product
 from fslice.automata import EPS, Nfa
 from fslice.demand import ALPHABET, BAR0, BAR1, SEL0, SEL1, SEL_OF, SELECTORS, TWO
 from fslice.grammar import DemandGrammar, NonTerm, is_nonterm, nt_d, production_key
-from fslice.lang import FsliceError
+from fslice.lang import Expr, FsliceError, If, Occ, Return, app_occs, iter_exprs
 from fslice.regular import cancel_pairs, tail_states
 
 # The end marker: the rewrite oracle appends it to every string it
@@ -343,6 +348,61 @@ def eval_finite(g: DemandGrammar, pt: int, maxlen: int) -> set:
     if maxlen > 12:
         raise ValueError("maxlen above 12 is not supported")
     return set(bounded_languages(g, maxlen).get(nt_d(pt), set()))
+
+
+# ---------------------------------------------------------------------------
+# References for the use index and the cancellation worklist
+# ---------------------------------------------------------------------------
+
+def occurrences_of(var: str, e: Expr) -> list[Occ]:
+    """All labeled occurrences of ``var`` within a spine."""
+    out = []
+    for sub in iter_exprs(e):
+        if isinstance(sub, Return):
+            cands = [sub.value]
+        elif isinstance(sub, If):
+            cands = [sub.guard]
+        else:
+            cands = app_occs(sub.rhs)
+        out.extend(o for o in cands if o.name == var)
+    return out
+
+
+def cancel_pairs_by_rounds(m: Nfa) -> set[tuple[int, int]]:
+    """The pairs of ``regular.cancel_pairs``, by rounds: each round
+    recomputes every bar edge's closure over epsilon and derived edges,
+    until a round derives nothing new."""
+    bar_edges = [(p, sym, x) for p, sym, x in m.edges() if sym in SEL_OF]
+    eps_adj: dict[int, set[int]] = {}
+    for p, sym, x in m.edges():
+        if sym == EPS:
+            eps_adj.setdefault(p, set()).add(x)
+    derived: dict[int, set[int]] = {}
+    pairs: set[tuple[int, int]] = set()
+    changed = True
+    while changed:
+        changed = False
+        for p, bsym, x in bar_edges:
+            sel = SEL_OF[bsym]
+            seen = {x}
+            todo = [x]
+            while todo:
+                y = todo.pop()
+                for z in eps_adj.get(y, ()):
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+                for z in derived.get(y, ()):
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+            for y in seen:
+                for q in m.succ(y, sel):
+                    if (p, q) not in pairs:
+                        pairs.add((p, q))
+                        derived.setdefault(p, set()).add(q)
+                        changed = True
+    return pairs
 
 
 # ---------------------------------------------------------------------------

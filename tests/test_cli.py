@@ -138,6 +138,14 @@ def test_slice_dump_flags_write_to_stderr(capsys):
     assert set(doc) == {"states", "start", "finals", "trans"}
 
 
+def test_dump_automaton_of_an_unknown_label_is_an_analysis_error(capsys):
+    code, out, err = run_cli(capsys, "slice", LCC, "--criterion", "eps",
+                             "--dump-automaton", "pi999")
+    assert code == 2
+    assert out == ""
+    assert err == "fslice: label pi999 not in program\n"
+
+
 # -- precompute / query / inc mode ---------------------------------------------
 
 @pytest.fixture()

@@ -12,6 +12,7 @@ from fslice.lang import all_labels, parse_program, validate
 
 from helpers import criterion_nfa
 from oracles import bounded_languages, eval_finite
+from test_lang import deep_let_chain
 
 EPS_CRIT = frozenset({()})
 HEAD_CRIT = frozenset({(), (SEL0,)})
@@ -153,3 +154,13 @@ def test_grammar_copy_is_independent(straight):
     c.add(("Fn", "extra"), ())
     assert ("Fn", "extra") not in g.nonterminals()
     assert ("Fn", "extra") in c.nonterminals()
+
+
+def test_deep_let_chain_generates_without_recursion():
+    p = deep_let_chain(5000)
+    g = generate_equations(p)
+    assert {nt_d(lab) for lab in all_labels(p)} <= g.nonterminals()
+    first = p.main.body
+    cons = first.body.rhs  # the uses of the first let's variable
+    for occ in (cons.head, cons.tail):
+        assert (nt_d(first.rhs.label), (nt_d(occ.label),)) in g.productions

@@ -2,14 +2,17 @@
 
 import pytest
 
+from fslice.firstify import firstify
 from fslice.gen import generate_program
 from fslice.lang import (
-    Hole, If, Let, ParseError, Return, ValidateError, all_labels, app_occs,
-    iter_labeled, label_index, label_name, occurrences_of, parse_label_name,
-    parse_program, print_program, validate,
+    Cons, Const, FunDef, Hole, If, Let, Occ, ParseError, Program, Return,
+    ValidateError, all_labels, app_occs, assign_labels, iter_exprs,
+    iter_labeled, label_index, label_name, parse_label_name, parse_program,
+    print_program, use_index, validate,
 )
 
 from conftest import corpus_paths, ho_paths, load
+from oracles import occurrences_of
 
 SMALL = """
 (define (add2 a b)
@@ -138,6 +141,54 @@ def test_iter_labeled_keeps_the_recursive_pre_order(corpus, ho_corpus):
         assert got == want
 
 
+def test_iter_exprs_keeps_the_recursive_pre_order(corpus, ho_corpus):
+    programs = [*corpus.values(), *ho_corpus.values(), generate_program(500)]
+    for p in programs:
+        got = [id(e) for d in p.defs for e in iter_exprs(d.body)]
+        want = [id(node) for _, kind, node in _recursive_iter_labeled(p)
+                if kind == "expr"]
+        assert got == want
+
+
+def _scoped_programs(corpus, ho_corpus):
+    yield from corpus.items()
+    for name, p in ho_corpus.items():
+        yield f"firstified {name}", firstify(p)[0]
+    yield "generated", generate_program()
+
+
+def test_use_index_equals_the_scan_of_each_scope(corpus, ho_corpus):
+    for name, p in _scoped_programs(corpus, ho_corpus):
+        for d in p.defs:
+            uses = use_index(d)
+            scopes = [(prm, d.body) for prm in d.params if prm is not None]
+            scopes += [(e.var, e.body) for e in iter_exprs(d.body)
+                       if isinstance(e, Let)]
+            for var, body in scopes:
+                got = [id(o) for o in uses.get(var, ())]
+                want = [id(o) for o in occurrences_of(var, body)]
+                assert got == want, (name, d.name, var)
+
+
+def deep_let_chain(depth: int) -> Program:
+    """``main`` as ``depth`` nested lets, each using the one before, built
+    as an AST because the reader recurses once per nesting level."""
+    body = Return(Occ(f"x{depth - 1}"))
+    for i in reversed(range(depth)):
+        rhs = Const(i) if i == 0 else Cons(Occ(f"x{i - 1}"), Occ(f"x{i - 1}"))
+        body = Let(f"x{i}", rhs, body)
+    return assign_labels(Program([FunDef("main", [], body)]))
+
+
+def test_deep_let_chain_walks_without_recursion():
+    p = deep_let_chain(5000)
+    validate(p)
+    exprs = list(iter_exprs(p.main.body))
+    assert len(exprs) == 5001
+    uses = use_index(p.main)
+    assert [len(uses[f"x{i}"]) for i in (0, 4998, 4999)] == [2, 2, 1]
+
+
 def test_occurrences_of_collects_in_order():
     p = parse_program(SMALL)
     add2 = p.fun("add2")
@@ -183,6 +234,14 @@ VALID_F = "(define (f a) (return a))\n"
     (VALID_F + "(define (main) (let f ← 1 in (return f)))", "shadows"),
     ("(define (main) (let x ← 1 in (let x ← 2 in (return x))))",
      "rebinding"),
+    ("(define (main) (let c ← 0 in"
+     " (if c (let x ← 2 in (return x)) (return x))))", "unbound"),
+    ("(define (main) (let c ← 0 in"
+     " (if c (let x ← 1 in (return x)) (let x ← 2 in (return x)))))",
+     "rebinding"),
+    ("(define (main) (let c ← 0 in"
+     " (if c (let x ← 1 in (return x)) (let y ← (car x) in (return y)))))",
+     "unbound"),
     (VALID_F + "(define (main) (let x ← (f f) in (return x)))", "unbound"),
 ])
 def test_validate_errors(src, msg):

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 import oracles
 from fslice.automata import EPS, Nfa, from_strings, intersect_nonempty
+from fslice.criteria import parse_criterion
 from fslice.demand import ALPHABET, BAR0, BAR1, SEL0, SEL1, TWO
+from fslice.firstify import firstify
+from fslice.gen import generate_program
 from fslice.grammar import (
     DemandGrammar, generate_equations, instantiate, nt_d, nt_fn, nt_sum,
 )
@@ -127,26 +130,82 @@ def test_compiled_nfa_covers_grammar_language(corpus, name):
 
 # -- cancellation ------------------------------------------------------------
 
-def test_cancel_pairs_direct_and_nested():
+def _direct() -> Nfa:
     m = Nfa(3, 0)
     m.add(0, BAR0, 1)
     m.add(1, SEL0, 2)
-    assert cancel_pairs(m) == {(0, 2)}
+    return m
 
+
+def _nested() -> Nfa:
     n = Nfa(5, 0)
     n.add(0, BAR0, 1)
     n.add(1, BAR1, 2)
     n.add(2, SEL1, 3)
     n.add(3, SEL0, 4)
-    assert cancel_pairs(n) == {(1, 3), (0, 4)}
+    return n
 
 
-def test_cancel_pairs_cross_epsilon():
+def _cross_epsilon() -> Nfa:
     m = Nfa(4, 0)
     m.add(0, BAR0, 1)
     m.add(1, EPS, 2)
     m.add(2, SEL0, 3)
-    assert cancel_pairs(m) == {(0, 3)}
+    return m
+
+
+def test_cancel_pairs_direct_and_nested():
+    assert cancel_pairs(_direct()) == {(0, 2)}
+    assert cancel_pairs(_nested()) == {(1, 3), (0, 4)}
+
+
+def test_cancel_pairs_cross_epsilon():
+    assert cancel_pairs(_cross_epsilon()) == {(0, 3)}
+
+
+def _lone_epsilon_moves() -> Nfa:
+    """Chains and a cycle of states whose one move is an epsilon edge,
+    which the worklist skips: the derived pair (1, 3) leads into the chain
+    3, 5, 6 that ends in the selector giving (0, 7); 8 and 9 loop."""
+    m = Nfa(10, 0)
+    m.add(0, BAR1, 1)
+    m.add(1, BAR0, 2)
+    m.add(2, SEL0, 3)
+    m.add(3, EPS, 5)
+    m.add(5, EPS, 6)
+    m.add(6, SEL1, 7)
+    m.add(1, EPS, 8)
+    m.add(8, EPS, 9)
+    m.add(9, EPS, 8)
+    return m
+
+
+def test_cancel_pairs_through_lone_epsilon_moves():
+    assert cancel_pairs(_lone_epsilon_moves()) == {(1, 3), (0, 7)}
+
+
+def test_worklist_cancel_pairs_match_the_rounds_on_hand_cases():
+    for m in (_direct(), _nested(), _cross_epsilon(), _lone_epsilon_moves()):
+        assert cancel_pairs(m) == oracles.cancel_pairs_by_rounds(m)
+
+
+def _shared_automata(programs):
+    for name, p in programs:
+        for text in ("eps", "(0+1)*"):
+            g = instantiate(generate_equations(p), parse_criterion(text))
+            yield f"{name} {text}", CompiledGrammar(mn_transform(g)).aut
+
+
+def test_worklist_cancel_pairs_match_the_rounds_on_programs(corpus):
+    programs = [*corpus.items(), ("generated", generate_program())]
+    for name, m in _shared_automata(programs):
+        assert cancel_pairs(m) == oracles.cancel_pairs_by_rounds(m), name
+
+
+def test_worklist_cancel_pairs_match_the_rounds_on_firstified(ho_corpus):
+    programs = [(name, firstify(p)[0]) for name, p in ho_corpus.items()]
+    for name, m in _shared_automata(programs):
+        assert cancel_pairs(m) == oracles.cancel_pairs_by_rounds(m), name
 
 
 def test_tail_states():
