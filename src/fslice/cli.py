@@ -6,8 +6,8 @@ membership from an artifact), ``firstify`` (lower a higher-order program),
 and ``run`` (execute a program, mainly for inspecting residuals).
 
 Exit codes: 0 success, 1 usage or I/O problem, 2 analysis error (parse,
-validation, criterion, firstification, or a program nested too deeply for
-the recursive reader), 3 artifact mismatch.
+validation, criterion, firstification, or a program or criterion nested too
+deeply for the recursive readers), 3 artifact mismatch.
 """
 
 from __future__ import annotations
@@ -82,10 +82,9 @@ def _cmd_slice(args) -> int:
         result = slice_noninc(p, crit)
     if args.dump_automaton is not None:
         from .grammar import generate_equations, instantiate, nt_d
-        from .regular import CompiledGrammar, mn_transform, canonicalize_nfa
+        from .regular import CompiledGrammar, canonicalize_nfa
         from .slicer import nfa_to_json
-        g = instantiate(generate_equations(p), crit)
-        cg = CompiledGrammar(mn_transform(g))
+        cg = CompiledGrammar(instantiate(generate_equations(p), crit))
         canon = canonicalize_nfa(cg.nfa(nt_d(lab))).renumbered()
         print(json.dumps(nfa_to_json(canon), sort_keys=True), file=sys.stderr)
     _write_or_print(print_program(result.residual), args.output)

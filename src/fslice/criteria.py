@@ -5,9 +5,12 @@ alphabet {0, 1}: ``eps``, ``0``, ``1``, alternation ``+``, Kleene ``*``,
 parentheses, and juxtaposition for concatenation. ``eps + 1 + 11 + 110``
 denotes {ε, 1, 11, 110}.
 
-The theory needs prefix-closed criteria, so ``parse_criterion`` closes the
-parsed language by default and reports when closing changed it; strict mode
-rejects non-closed input instead.
+A parsed criterion is the minimal DFA of its language, without the dead
+state. The theory needs prefix-closed criteria, and on that DFA a language
+is prefix-closed exactly when every state is final, so one determinization
+decides it. ``parse_criterion`` closes the parsed language by default (all
+states final, minimized again) and reports when closing changed it; strict
+mode rejects non-closed input instead.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .automata import Nfa, concat, equivalent, from_strings, star, union
+from .automata import Nfa, concat, from_strings, star, union
 from .demand import SEL0, SEL1
 from .lang import FsliceError
 
@@ -191,8 +194,14 @@ def parse_regex(text: str) -> Regex:
 # Criterion construction and validation
 # ---------------------------------------------------------------------------
 
-def _is_prefix_closed(m: Nfa) -> bool:
-    return equivalent(m, m.prefix_closed(), PATH_ALPHABET)
+def _minimal(m: Nfa) -> Nfa:
+    """The minimal DFA of L(m) over {0,1}, without its dead state.
+
+    Each of its states is reached by a prefix of an accepted string, and a
+    string reaches at most one state, so L(m) is prefix-closed exactly when
+    every state is final.
+    """
+    return m.determinize(PATH_ALPHABET).minimize().trim()
 
 
 def validate_criterion(crit: Nfa) -> None:
@@ -206,22 +215,29 @@ def validate_criterion(crit: Nfa) -> None:
     bad = crit.trim().symbols() - {SEL0, SEL1, ""}
     if bad:
         raise CriterionError(f"criterion uses non-path symbols {sorted(bad)}")
-    if not _is_prefix_closed(crit):
+    d = _minimal(crit)
+    if len(d.finals) < d.n:
         raise CriterionError("criterion is not prefix-closed")
 
 
 def parse_criterion(text: str, *, strict: bool = False,
                     notify: Callable[[str], None] | None = None) -> Nfa:
-    """Parse a criterion regex into a prefix-closed NFA over {0,1}.
+    """Parse a criterion regex into the minimal DFA (without its dead
+    state) of a prefix-closed language over {0,1}.
 
     The result always passes ``validate_criterion``: the regex syntax has
     no empty language and no symbol but 0 and 1.
     """
-    m = regex_to_nfa(parse_regex(text))
-    if not _is_prefix_closed(m):
-        if strict:
-            raise CriterionError(
-                "criterion is not prefix-closed (strict mode)")
-        if notify is not None:
-            notify("criterion was not prefix-closed; using its prefix closure")
-    return m.prefix_closed()
+    try:
+        m = regex_to_nfa(parse_regex(text))
+    except RecursionError:
+        raise CriterionError("criterion nests too deeply") from None
+    d = _minimal(m)
+    if len(d.finals) == d.n:
+        return d
+    if strict:
+        raise CriterionError("criterion is not prefix-closed (strict mode)")
+    if notify is not None:
+        notify("criterion was not prefix-closed; using its prefix closure")
+    d.finals = set(range(d.n))
+    return d.minimize().trim()

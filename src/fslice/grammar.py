@@ -102,18 +102,22 @@ def production_key(prod: Production):
 
 @dataclass
 class DemandGrammar:
-    productions: set[Production] = field(default_factory=set)
-    declared: set[NonTerm] = field(default_factory=set)
+    """Productions and declared nonterminals, each a dict used as an
+    insertion-ordered set: every pass over the grammar sees them in the
+    order they were added, so its results do not depend on string hashing.
+    Only ``dump`` sorts."""
+    productions: dict[Production, None] = field(default_factory=dict)
+    declared: dict[NonTerm, None] = field(default_factory=dict)
 
     def add(self, lhs: NonTerm, body) -> None:
-        self.productions.add((lhs, tuple(body)))
+        self.productions[(lhs, tuple(body))] = None
 
     def declare(self, nt: NonTerm) -> None:
-        self.declared.add(nt)
+        self.declared[nt] = None
 
     def by_lhs(self) -> dict[NonTerm, list[Body]]:
         out: dict[NonTerm, list[Body]] = {}
-        for lhs, body in sorted(self.productions, key=production_key):
+        for lhs, body in self.productions:
             out.setdefault(lhs, []).append(body)
         return out
 
@@ -125,7 +129,7 @@ class DemandGrammar:
         return nts
 
     def copy(self) -> "DemandGrammar":
-        return DemandGrammar(set(self.productions), set(self.declared))
+        return DemandGrammar(dict(self.productions), dict(self.declared))
 
     def dump(self) -> str:
         lines = []

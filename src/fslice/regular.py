@@ -2,21 +2,19 @@
 
 Pipeline pieces, in the order the slicer uses them:
 
-* ``mn_transform`` rewrites the demand grammar so every strongly connected
-  component of nonterminals is uniformly right-linear (or was already
-  left-linear), using one auxiliary continuation nonterminal per member of
-  a transformed component. Components that are already one-sided are kept,
-  so the result is exact for them; only self-embedding components (in
-  practice: summaries of recursive functions) are over-approximated.
-
-* ``compile_grammar`` turns the strongly regular grammar into one shared
-  NFA with a state per nonterminal and a single global final state.
-  References in tail position become epsilon jumps into the shared
-  automaton; a nonterminal referenced before the end of a body (or any
-  member of a left-linear component) is spliced in as a fresh copy of a
-  self-contained fragment. After the transform, such references always
-  point into strictly lower components, so fragment construction is
-  well-founded and the per-start languages are exact.
+* ``CompiledGrammar`` turns a demand grammar into one shared NFA with a
+  state per nonterminal and a single global final state, after one
+  component analysis (Tarjan, 1972). A component whose internal references
+  are all in tail position (right-linear) or all first (left-linear) is
+  compiled exactly. A mixed one, in practice the summary of a recursive
+  function, is first widened in place (Mohri & Nederhof, 2001), with one
+  continuation nonterminal per member, into a right-linear group that
+  over-approximates it. References in tail position become epsilon jumps
+  into the shared automaton; a nonterminal referenced before the end of a
+  body (or any member of a left-linear group) is spliced in as a fresh copy
+  of its group's self-contained fragment. Such references always point
+  into strictly lower components, so fragment construction is
+  well-founded. ``mn_transform`` prints the widened grammar.
 
 * ``cancel_pairs`` saturates an automaton with the Dyck-style cancellation
   relation: state pairs connected by some path whose labels erase under
@@ -44,102 +42,96 @@ all points, not per point from ``canonicalize_nfa``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automata import EPS, Nfa, intersect
 from .demand import BAR0, BAR1, SEL0, SEL1, TWO
-from .grammar import DemandGrammar, NonTerm, is_nonterm, production_key
-from .lang import FsliceError
+from .grammar import Body, DemandGrammar, NonTerm, is_nonterm
 
 _SEL_FOR_BAR = {BAR0: SEL0, BAR1: SEL1}
 
 
-class NotStronglyRegular(FsliceError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# SCC analysis and the strongly-regular transform
+# Component analysis and the Mohri-Nederhof widening
 # ---------------------------------------------------------------------------
+
+def _rules(g: DemandGrammar) -> dict[NonTerm, dict[Body, None]]:
+    """Every nonterminal of ``g`` -> its bodies, as an ordered set, in the
+    order the grammar first mentions them."""
+    rules: dict[NonTerm, dict[Body, None]] = {nt: {} for nt in g.declared}
+    for lhs, body in g.productions:
+        rules.setdefault(lhs, {})[body] = None
+        for item in body:
+            if is_nonterm(item):
+                rules.setdefault(item, {})
+    return rules
+
 
 def scc_partition(g: DemandGrammar):
-    """Tarjan over the nonterminal reference graph, iterative.
+    """Strongly connected components of the nonterminal reference graph.
 
     Returns (components, component-id per nonterminal); components come out
     dependencies-first, so they can be processed bottom-up in list order.
     """
-    prods = sorted(g.productions, key=production_key)
-    adj: dict[NonTerm, list[NonTerm]] = {}
-    nodes: set[NonTerm] = set(g.declared)
-    for lhs, body in prods:
-        nodes.add(lhs)
-        refs = [it for it in body if is_nonterm(it)]
-        nodes.update(refs)
-        adj.setdefault(lhs, []).extend(refs)
+    sccs = _tarjan(_rules(g))
+    return sccs, {nt: cid for cid, comp in enumerate(sccs) for nt in comp}
 
+
+def _tarjan(rules: dict[NonTerm, dict[Body, None]]) -> list[list[NonTerm]]:
+    """Tarjan's algorithm (1972), iterative, over the references in
+    ``rules``; roots are taken in the order of ``rules``."""
     index: dict[NonTerm, int] = {}
     low: dict[NonTerm, int] = {}
-    on_stack: set[NonTerm] = set()
+    depth: dict[NonTerm, int] = {}  # position on the stack
+    done: set[NonTerm] = set()  # in an emitted component
     stack: list[NonTerm] = []
+    work: list = []
     sccs: list[list[NonTerm]] = []
-    scc_of: dict[NonTerm, int] = {}
-    counter = 0
 
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+    def visit(nt: NonTerm):
+        index[nt] = low[nt] = len(index)
+        depth[nt] = len(stack)
+        stack.append(nt)
+        work.append((nt, (it for body in rules[nt] for it in body
+                          if is_nonterm(it))))
+
+    for root in rules:
+        if root not in index:
+            visit(root)
         while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
+            node, refs = work[-1]
+            for child in refs:
                 if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adj.get(child, ()))))
-                    advanced = True
+                    visit(child)
                     break
-                if child in on_stack:
+                if child not in done:
                     low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    q = stack.pop()
-                    on_stack.discard(q)
-                    comp.append(q)
-                    if q == node:
-                        break
-                cid = len(sccs)
-                sccs.append(comp)
-                for q in comp:
-                    scc_of[q] = cid
-    return sccs, scc_of
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = stack[depth[node]:]
+                    del stack[depth[node]:]
+                    done.update(comp)
+                    sccs.append(comp)
+    return sccs
 
 
-def _linearity(members: set[NonTerm], prods: list) -> str:
+def _linearity(comp: list[NonTerm], rules) -> str:
     """"right", "left", or "mixed" for one component's internal rules."""
+    members = set(comp)
     right = left = True
-    for lhs, body in prods:
-        positions = [i for i, it in enumerate(body)
-                     if is_nonterm(it) and it in members]
-        if not positions:
-            continue
-        if positions != [len(body) - 1]:
-            right = False
-        if positions != [0]:
-            left = False
+    for lhs in comp:
+        for body in rules[lhs]:
+            positions = [i for i, it in enumerate(body) if it in members]
+            if not positions:
+                continue
+            if positions != [len(body) - 1]:
+                right = False
+            if positions != [0]:
+                left = False
     if right:
         return "right"
     if left:
@@ -151,52 +143,67 @@ def _cont(nt: NonTerm) -> NonTerm:
     return ("Cont", nt)
 
 
-def mn_transform(g: DemandGrammar) -> DemandGrammar:
-    """Make every component one-sided; over-approximates mixed ones.
+def _widen(comp: list[NonTerm], rules) -> list[NonTerm]:
+    """Rewrite a mixed component's rules in ``rules`` to be right-linear,
+    over-approximating its language; returns the widened group.
 
-    For a mixed component, each production A -> w0 B1 w1 ... Bm wm (Bi the
-    in-component references) is replaced by A -> w0 B1, Cont[Bi] -> wi
-    B(i+1), Cont[Bm] -> wm Cont[A] (or A -> w0 Cont[A] when m = 0), with
-    Cont[X] -> eps for every member. The component becomes right-linear and
-    its language only grows, never shrinks.
+    Each production A -> w0 B1 w1 ... Bm wm (Bi the in-component
+    references) becomes A -> w0 B1, Cont[Bi] -> wi B(i+1), Cont[Bm] -> wm
+    Cont[A] (or A -> w0 Cont[A] when m = 0), with Cont[X] -> eps for every
+    member X (Mohri & Nederhof, 2001). Every reference between the group's
+    members is then in tail position, and every other one points into a
+    strictly lower component.
     """
-    prods = sorted(g.productions, key=production_key)
-    sccs, scc_of = scc_partition(g)
-    by_scc: dict[int, list] = {}
-    for lhs, body in prods:
-        by_scc.setdefault(scc_of[lhs], []).append((lhs, body))
-
-    out = DemandGrammar(set(), set(g.declared))
-    for cid, comp in enumerate(sccs):
-        members = set(comp)
-        cprods = by_scc.get(cid, [])
-        if _linearity(members, cprods) != "mixed":
-            for lhs, body in cprods:
-                out.add(lhs, body)
-            continue
-        for m in comp:
-            out.add(_cont(m), ())
-        for lhs, body in cprods:
-            chunks: list[list] = [[]]
-            refs: list[NonTerm] = []
+    members = set(comp)
+    new = {nt: {} for nt in comp}
+    new.update({_cont(nt): {(): None} for nt in comp})
+    for lhs in comp:
+        for body in rules[lhs]:
+            head, chunk = lhs, []
             for item in body:
-                if is_nonterm(item) and item in members:
-                    refs.append(item)
-                    chunks.append([])
+                if item in members:
+                    new[head][(*chunk, item)] = None
+                    head, chunk = _cont(item), []
                 else:
-                    chunks[-1].append(item)
-            if not refs:
-                out.add(lhs, tuple(body) + (_cont(lhs),))
-                continue
-            out.add(lhs, tuple(chunks[0]) + (refs[0],))
-            for i in range(1, len(refs)):
-                out.add(_cont(refs[i - 1]), tuple(chunks[i]) + (refs[i],))
-            out.add(_cont(refs[-1]), tuple(chunks[-1]) + (_cont(lhs),))
+                    chunk.append(item)
+            new[head][(*chunk, _cont(lhs))] = None
+    rules.update(new)
+    return list(new)
+
+
+def _groups(g: DemandGrammar):
+    """The one component analysis of ``g``.
+
+    Returns the rules by left-hand side and the groups that compile as
+    units, dependencies first, each as (members, left-linear?). A group is a
+    one-sided component, or a mixed one widened in place together with its
+    Cont[...] nonterminals.
+    """
+    rules = _rules(g)
+    groups = []
+    for comp in _tarjan(rules):
+        kind = _linearity(comp, rules)
+        if kind == "mixed":
+            comp = _widen(comp, rules)
+        groups.append((comp, kind == "left"))
+    return rules, groups
+
+
+def mn_transform(g: DemandGrammar) -> DemandGrammar:
+    """The grammar ``CompiledGrammar`` compiles, as a printable grammar:
+    every mixed component widened (``_widen``), the rest kept as they are,
+    so the result is exact except on self-embedding components (in
+    practice: summaries of recursive functions)."""
+    rules, _ = _groups(g)
+    out = DemandGrammar(declared=dict(g.declared))
+    for lhs, bodies in rules.items():
+        for body in bodies:
+            out.add(lhs, body)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Strongly-regular grammar -> one shared automaton
+# Demand grammar -> one shared automaton
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -207,108 +214,80 @@ class _Fragment:
 
 
 class CompiledGrammar:
-    """NFA form of a strongly regular grammar.
+    """NFA form of a demand grammar, widened where it is not regular.
 
     ``aut`` is the shared automaton: ``entry[nt]`` is the state whose
-    language (to the single final state) is L(nt), for every nonterminal in
-    a right-linear component. Left-linear members are reachable only via
-    ``nfa``, which splices their fragment on demand.
+    language (to the single final state) is L(nt), for every nonterminal of
+    a right-linear or widened group. Left-linear members are reachable only
+    via ``nfa``, which splices their fragment on demand.
     """
 
     def __init__(self, g: DemandGrammar):
-        self._by_lhs: dict[NonTerm, list] = {}
-        for lhs, body in sorted(g.productions, key=production_key):
-            self._by_lhs.setdefault(lhs, []).append(body)
-        self._sccs, self._scc_of = scc_partition(g)
-        self._members = [set(c) for c in self._sccs]
-        self._linear = []
-        for cid, comp in enumerate(self._sccs):
-            cprods = [(m, b) for m in comp for b in self._by_lhs.get(m, [])]
-            kind = _linearity(self._members[cid], cprods)
-            if kind == "mixed":
-                raise NotStronglyRegular(
-                    "grammar has a self-embedding component; run mn_transform")
-            self._linear.append(kind)
-
+        self._rules, self._groups = _groups(g)
+        self._group_of = {nt: gid for gid, (members, _) in
+                          enumerate(self._groups) for nt in members}
         self._fragments: dict[int, _Fragment] = {}
-        self._build_fragments(self._needed_fragments())
 
         self.aut = Nfa(1, 0)
         self.final = 0
         self.entry: dict[NonTerm, int] = {}
-        for cid, comp in enumerate(self._sccs):
-            if self._linear[cid] != "right":
-                continue
-            for m in comp:
-                self.entry[m] = self.aut.add_state()
+        for members, left in self._groups:
+            if not left:
+                for nt in members:
+                    self.entry[nt] = self.aut.add_state()
         for nt, state in self.entry.items():
-            for body in self._by_lhs.get(nt, []):
+            for body in self._rules[nt]:
                 self._compile_body(self.aut, state, body, self.final,
-                                   tail_jump=True)
+                                   self.entry)
         self.aut.finals = {self.final}
 
     # -- fragments -----------------------------------------------------------
 
-    def _needed_fragments(self) -> set[int]:
-        need: set[int] = set()
-        for lhs, bodies in self._by_lhs.items():
-            for body in bodies:
-                for i, item in enumerate(body):
-                    if not is_nonterm(item):
-                        continue
-                    cid = self._scc_of[item]
-                    if i < len(body) - 1 or self._linear[cid] == "left":
-                        need.add(cid)
-        return self._fragment_closure(need)
+    def _fragment(self, gid: int) -> _Fragment:
+        """The self-contained automaton of one group, built on first use.
 
-    def _fragment_closure(self, need: set[int]) -> set[int]:
-        # fragments are self-contained, so they need their references too
-        todo = list(need)
-        while todo:
-            cid = todo.pop()
-            for m in self._sccs[cid]:
-                for body in self._by_lhs.get(m, []):
-                    for item in body:
-                        if is_nonterm(item):
-                            sub = self._scc_of[item]
-                            if sub != cid and sub not in need:
+        The groups it splices are built first, lowest first, so building
+        never recurses once per level of nesting.
+        """
+        if gid not in self._fragments:
+            need, todo = {gid}, [gid]
+            while todo:
+                for nt in self._groups[todo.pop()][0]:
+                    for body in self._rules[nt]:
+                        for item in body:
+                            if not is_nonterm(item):
+                                continue
+                            sub = self._group_of[item]
+                            if sub not in need and sub not in self._fragments:
                                 need.add(sub)
                                 todo.append(sub)
-        return need
+            for sub in sorted(need):  # dependencies-first order
+                self._fragments[sub] = self._build(sub)
+        return self._fragments[gid]
 
-    def _build_fragments(self, need: set[int]):
-        for cid in sorted(need):  # dependencies-first order
-            if cid in self._fragments:
-                continue
-            comp = sorted(self._sccs[cid])
-            members = self._members[cid]
-            m = Nfa(0, 0)
-            if self._linear[cid] == "right":
-                state = {nt: m.add_state() for nt in comp}
-                f = m.add_state()
-                frag = _Fragment(m, dict(state), {nt: f for nt in comp})
-                m.start = f
-                for nt in comp:
-                    for body in self._by_lhs.get(nt, []):
-                        self._compile_body(m, state[nt], body, f,
-                                           tail_jump=False, local=state,
-                                           local_members=members)
-            else:
-                init = m.add_state()
-                state = {nt: m.add_state() for nt in comp}
-                frag = _Fragment(m, {nt: init for nt in comp}, dict(state))
-                for nt in comp:
-                    for body in self._by_lhs.get(nt, []):
-                        if body and is_nonterm(body[0]) and body[0] in members:
-                            src, rest = state[body[0]], body[1:]
-                        else:
-                            src, rest = init, body
-                        self._compile_body(m, src, rest, state[nt],
-                                           tail_jump=False)
-            self._fragments[cid] = frag
+    def _build(self, gid: int) -> _Fragment:
+        members, left = self._groups[gid]
+        m = Nfa(0, 0)
+        if not left:
+            state = {nt: m.add_state() for nt in members}
+            f = m.add_state()
+            for nt in members:
+                for body in self._rules[nt]:
+                    self._compile_body(m, state[nt], body, f, state)
+            return _Fragment(m, state, dict.fromkeys(members, f))
+        init = m.add_state()
+        state = {nt: m.add_state() for nt in members}
+        for nt in members:
+            for body in self._rules[nt]:
+                if body and body[0] in state:
+                    src, rest = state[body[0]], body[1:]
+                else:
+                    src, rest = init, body
+                self._compile_body(m, src, rest, state[nt], {})
+        return _Fragment(m, dict.fromkeys(members, init), state)
 
     def _splice(self, dst: Nfa, src_state: int, nt: NonTerm, tgt: int):
-        frag = self._fragments[self._scc_of[nt]]
+        frag = self._fragment(self._group_of[nt])
         off = dst.n
         dst.n += frag.nfa.n
         for s, sym, t in frag.nfa.edges():
@@ -316,28 +295,24 @@ class CompiledGrammar:
         dst.add(src_state, EPS, frag.entry[nt] + off)
         dst.add(frag.exit[nt] + off, EPS, tgt)
 
-    def _compile_body(self, m: Nfa, src: int, body, final: int, *,
-                      tail_jump: bool, local: dict | None = None,
-                      local_members: set | None = None):
+    def _compile_body(self, m: Nfa, src: int, body, final: int,
+                      jump: dict[NonTerm, int]):
+        """Compile ``src -body-> final``: a last nonterminal with a state in
+        ``jump`` becomes an epsilon edge to it, any other one a splice."""
         if not body:
             m.add(src, EPS, final)
             return
         cur = src
         for i, item in enumerate(body):
             last = i == len(body) - 1
-            if not is_nonterm(item):
-                tgt = final if last else m.add_state()
-                m.add(cur, item, tgt)
-                cur = tgt
-                continue
-            if last and local_members is not None and item in local_members:
-                m.add(cur, EPS, local[item])
-                return
-            if last and tail_jump and item in self.entry:
-                m.add(cur, EPS, self.entry[item])
+            if last and item in jump:
+                m.add(cur, EPS, jump[item])
                 return
             tgt = final if last else m.add_state()
-            self._splice(m, cur, item, tgt)
+            if is_nonterm(item):
+                self._splice(m, cur, item, tgt)
+            else:
+                m.add(cur, item, tgt)
             cur = tgt
 
     # -- extraction -----------------------------------------------------------
@@ -346,13 +321,9 @@ class CompiledGrammar:
         """Standalone automaton for one nonterminal's language."""
         if nt in self.entry:
             return _trimmed_view(self.aut, self.entry[nt], self.final)
-        if nt not in self._scc_of:
+        if nt not in self._group_of:
             raise KeyError(f"unknown nonterminal {nt!r}")
-        cid = self._scc_of[nt]
-        if cid not in self._fragments:
-            # a left-linear member never referenced elsewhere: build lazily
-            self._build_fragments(self._fragment_closure({cid}))
-        frag = self._fragments[cid]
+        frag = self._fragment(self._group_of[nt])
         return _trimmed_view(frag.nfa, frag.entry[nt], frag.exit[nt])
 
 

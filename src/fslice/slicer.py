@@ -3,11 +3,11 @@
 Two routes to the same keep-decisions:
 
 * ``slice_noninc`` solves the demand grammar for one criterion: generate
-  equations, plug the criterion in, make the grammar strongly regular,
-  compile it to the shared automaton, and decide per-point emptiness of the
-  simplified demand language. The per-point decision reduces to one global
-  backward reachability pass, because every point is an entry state of the
-  same automaton.
+  equations, plug the criterion in, compile the grammar (widened where it
+  is self-embedding) to the shared automaton, and decide per-point
+  emptiness of the simplified demand language. The per-point decision
+  reduces to one global backward reachability pass, because every point is
+  an entry state of the same automaton.
 
 * ``precompute`` + ``slice_inc`` split the work. Under the fixed criterion
   {ε}, every point's completing automaton (the minimal selector strings a
@@ -41,7 +41,7 @@ from .lang import (
     NullQ, Occ, ParseError, Prim, Program, Return, all_labels, iter_exprs,
     label_name, parse_label_name, print_program, use_index,
 )
-from .regular import CompiledGrammar, cancel_pairs, mn_transform, tail_states
+from .regular import CompiledGrammar, cancel_pairs, tail_states
 
 # The layout and meaning of stored artifacts; independent of the package
 # version. "2": each point's entry is its minimal completing DFA.
@@ -84,7 +84,7 @@ def epsilon_criterion() -> Nfa:
 # ---------------------------------------------------------------------------
 
 def _compiled_for(p: Program, crit: Nfa) -> CompiledGrammar:
-    return CompiledGrammar(mn_transform(instantiate(generate_equations(p), crit)))
+    return CompiledGrammar(instantiate(generate_equations(p), crit))
 
 
 def _keep_map(p: Program, cg: CompiledGrammar) -> dict[int, bool]:
@@ -117,8 +117,8 @@ def slice_noninc(p: Program, crit: Nfa) -> SliceResult:
 def precompute(p: Program) -> PrecomputeArtifact:
     """Per-point completing automata under the fixed criterion {ε}.
 
-    Everything criterion-independent happens here: demand grammar, the
-    strongly-regular pass, cancellation saturation, and one shared subset
+    Everything criterion-independent happens here: demand grammar, its
+    compilation, cancellation saturation, and one shared subset
     construction (``_completion_dfa``). Each point's automaton is that DFA
     with the point's accepting set, minimized once per distinct set; points
     with equal languages share one ``Nfa`` object. What remains per query

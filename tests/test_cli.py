@@ -126,6 +126,14 @@ def test_too_deeply_nested_program_is_an_analysis_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_too_deeply_nested_criterion_is_a_criterion_error(capsys):
+    text = "(" * 2000 + "0" + ")" * 2000
+    code, out, err = run_cli(capsys, "slice", LCC, "--criterion", text)
+    assert code == 2
+    assert out == ""
+    assert err == "fslice: criterion nests too deeply\n"
+
+
 def test_slice_dump_flags_write_to_stderr(capsys):
     code, out, err = run_cli(capsys, "slice", LCC, "--criterion", "eps + 0",
                              "--dump-grammar", "--dump-automaton", "pi1")

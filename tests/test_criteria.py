@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fslice.automata import equivalent, from_strings
+from fslice.automata import EPS, equivalent, from_strings
 from fslice.criteria import (
     Alt, Cat, CriterionError, Eps, Star, Sym, parse_criterion, parse_regex,
     regex_to_nfa, regex_to_text, validate_criterion,
 )
 from fslice.demand import SEL0, SEL1
+from fslice.slicer import slice_noninc
 
+from helpers import FINITE_CRITERIA, REGEX_CRITERIA
 from oracles import prefix_close
 
 AB = (SEL0, SEL1)
@@ -18,6 +20,30 @@ AB = (SEL0, SEL1)
 
 def lang(m, k=6):
     return m.enumerate_upto(k)
+
+
+def regex_text(strings) -> str:
+    return " + ".join("".join(s) if s else "eps" for s in sorted(strings))
+
+
+def assert_minimal_closed_dfa(m):
+    """Deterministic (no epsilon edge, at most one move per state and
+    symbol), every state final, and minimal."""
+    for q in range(m.n):
+        moves = m.trans.get(q, {})
+        assert EPS not in moves
+        assert all(len(dsts) == 1 for dsts in moves.values())
+    assert m.finals == set(range(m.n))
+    assert m.minimize().trim().n == m.n
+
+
+# The criteria pool of the slicer tests, as regex text.
+POOL_TEXTS = REGEX_CRITERIA + [regex_text(s) for s in FINITE_CRITERIA]
+
+
+@pytest.mark.parametrize("text", POOL_TEXTS)
+def test_parsed_criteria_are_minimal_closed_dfas(text):
+    assert_minimal_closed_dfa(parse_criterion(text))
 
 
 @pytest.mark.parametrize("text,strings", [
@@ -50,6 +76,20 @@ def test_closure_is_applied_and_reported():
     notes.clear()
     parse_criterion("eps + 0", notify=notes.append)
     assert notes == []
+
+
+def test_long_suffix_criterion_closes_to_one_state(corpus):
+    """``(0+1)*0`` followed by ten ``(0+1)``: its minimal DFA has 2^11
+    states, and its prefix closure is all of (0+1)*."""
+    notes = []
+    m = parse_criterion("(0+1)*0" + "(0+1)" * 10, notify=notes.append)
+    assert notes == ["criterion was not prefix-closed; using its prefix "
+                     "closure"]
+    assert m.n == 1
+    assert_minimal_closed_dfa(m)
+    p = corpus["lcc"]
+    assert slice_noninc(p, m).keep == \
+        slice_noninc(p, parse_criterion("(0+1)*")).keep
 
 
 def test_strict_mode_rejects_non_closed():
@@ -107,3 +147,4 @@ def test_closure_matches_set_level_closure(strings):
     text = " + ".join("".join(s) if s else "eps" for s in sorted(strings))
     m = parse_criterion(text)
     assert lang(m, 4) == prefix_close(set(strings))
+    assert_minimal_closed_dfa(m)

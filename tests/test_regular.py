@@ -1,6 +1,11 @@
 """Regular pipeline tests: the strongly-regular transform, cancellation,
 automaton-level simplify/canonicalize, and completing automata."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +15,18 @@ from fslice.automata import EPS, Nfa, from_strings, intersect_nonempty
 from fslice.criteria import parse_criterion
 from fslice.demand import ALPHABET, BAR0, BAR1, SEL0, SEL1, TWO
 from fslice.firstify import firstify
-from fslice.gen import generate_program
+from fslice.gen import generate_program, generate_source
 from fslice.grammar import (
     DemandGrammar, generate_equations, instantiate, nt_d, nt_fn, nt_sum,
 )
+from fslice.lang import all_labels
 from fslice.regular import (
-    CompiledGrammar, NotStronglyRegular, cancel_pairs, canonicalize_nfa,
+    CompiledGrammar, cancel_pairs, canonicalize_nfa,
     mn_transform, scc_partition, tail_states,
 )
+from fslice.slicer import _keep_map
 
-from helpers import FINITE_CRITERIA, criterion_nfa
+from helpers import FINITE_CRITERIA, criteria_pool, criterion_nfa
 from oracles import (
     NotCanonical, bounded_languages, create_completing_automaton,
     is_canonical_nfa, simplify_nfa,
@@ -81,8 +88,6 @@ def test_self_embedding_needs_the_transform():
     g = DemandGrammar()
     g.add(X, (SEL0, X, SEL1))
     g.add(X, ())
-    with pytest.raises(NotStronglyRegular):
-        CompiledGrammar(g)
     t = mn_transform(g)
     got = lang(CompiledGrammar(t).nfa(X), 4)
     assert got == {(SEL0,) * m + (SEL1,) * n for m in range(5) for n in range(5)
@@ -126,6 +131,121 @@ def test_compiled_nfa_covers_grammar_language(corpus, name):
         assert want <= got, lab
         if is_identity:
             assert want == got, lab
+
+
+def _compile_programs(corpus, ho_corpus):
+    yield from corpus.items()
+    for name, p in ho_corpus.items():
+        yield f"ho/{name}", firstify(p)[0]
+    yield "generated", generate_program()
+
+
+def _live(m: Nfa) -> Nfa:
+    """``m`` without the states that reach no final state, same numbering."""
+    back: dict[int, list[int]] = {}
+    for p, _, q in m.edges():
+        back.setdefault(q, []).append(p)
+    live, todo = set(m.finals), list(m.finals)
+    while todo:
+        for r in back.get(todo.pop(), ()):
+            if r not in live:
+                live.add(r)
+                todo.append(r)
+    out = Nfa(m.n, m.start)
+    out.finals = set(m.finals)
+    for p, sym, q in m.edges():
+        if p in live and q in live:
+            out.add(p, sym, q)
+    return out
+
+
+def _same_languages(a: Nfa, b: Nfa, starts) -> bool:
+    """Whether L_a(p) = L_b(q) for every (p, q) in ``starts``.
+
+    Hopcroft and Karp's check (1971) on the two subset automata, with one
+    union-find shared by all the pairs: a pair of subsets already related
+    is skipped, and the first pair of which only one side accepts is a
+    word in one language and not in the other.
+    """
+    a, b = _live(a), _live(b)
+    parent: dict = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    todo = [(a.eps_closure({p}), b.eps_closure({q})) for p, q in starts]
+    while todo:
+        sa, sb = todo.pop()
+        x, y = find((0, sa)), find((1, sb))
+        if x == y:
+            continue
+        if bool(sa & a.finals) != bool(sb & b.finals):
+            return False
+        parent[x] = y
+        for sym in ALPHABET:
+            todo.append((a.step(sa, sym), b.step(sb, sym)))
+    return True
+
+
+def test_one_pass_compile_matches_the_two_pass_reference(corpus, ho_corpus):
+    """Compiling the raw grammar, with mixed components widened inside the
+    compile, equals compiling the printed widening ``mn_transform`` (the
+    two-pass route): same keep maps and the same language at every D[pt]
+    entry, and the one pass never has more states."""
+    for name, p in _compile_programs(corpus, ho_corpus):
+        g = generate_equations(p)
+        for crit_name, crit in criteria_pool():
+            gi = instantiate(g, crit)
+            cg, ref = CompiledGrammar(gi), CompiledGrammar(mn_transform(gi))
+            assert cg.aut.n <= ref.aut.n, (name, crit_name)
+            assert _keep_map(p, cg) == _keep_map(p, ref), (name, crit_name)
+            entries = [(cg.entry[nt_d(lab)], ref.entry[nt_d(lab)])
+                       for lab in all_labels(p)]
+            assert _same_languages(cg.aut, ref.aut, entries), (name, crit_name)
+
+
+_BUILD_ORDER = """
+import contextlib, hashlib, io, sys
+from fslice.cli import main
+from fslice.criteria import parse_criterion
+from fslice.grammar import generate_equations, instantiate
+from fslice.lang import parse_program, validate
+from fslice.regular import CompiledGrammar
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        p = validate(parse_program(fh.read()))
+    g = instantiate(generate_equations(p), parse_criterion("(0+1)*"))
+    aut = CompiledGrammar(g).aut
+    print(aut.n, hashlib.sha256(repr(sorted(aut.edges())).encode()).hexdigest())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        main(["slice", path, "--criterion", "eps + 0", "--dump-grammar",
+              "--dump-automaton", "pi1"])
+    print(err.getvalue())
+"""
+
+
+def test_build_order_does_not_depend_on_the_hash_seed(tmp_path):
+    """The grammar keeps its productions in insertion order and nothing
+    sorts them before compiling, so the automaton must come out the same
+    whatever the string hash seed."""
+    generated = tmp_path / "generated.fsl"
+    generated.write_text(generate_source(), encoding="utf-8")
+    src = str(Path(__file__).parents[1] / "src")
+    outs = []
+    for seed in ("0", "1"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", _BUILD_ORDER,
+             str(Path(__file__).parent / "corpus" / "lcc.fsl"), str(generated)],
+            env=env, capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert "; after regular approximation" in outs[0]
+    assert outs[0] == outs[1]
 
 
 # -- cancellation ------------------------------------------------------------
