@@ -5,7 +5,7 @@ symbol to a set of successor states. Symbols are the demand-symbol strings
 ("0", "1", "0b", "1b", "2"); the empty string is the epsilon label. Nothing
 here is specific to demands except the choice of symbol type, so the
 operations read like any other NFA toolkit: closure, product, trimming,
-determinization, bounded enumeration.
+determinization, minimization.
 
 Construction is mutable (add_state / add); analyses treat built automata as
 immutable and return fresh ones.
@@ -14,7 +14,6 @@ immutable and return fresh ones.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product as iproduct
 
 EPS = ""
 # shared read-only answers for a state or symbol without moves, so lookups
@@ -79,14 +78,6 @@ class Nfa:
             nxt |= self.succ(q, sym)
         return self.eps_closure(nxt)
 
-    def accepts(self, s) -> bool:
-        cur = self.eps_closure({self.start})
-        for sym in s:
-            cur = self.step(cur, sym)
-            if not cur:
-                return False
-        return any(q in self.finals for q in cur)
-
     def reachable(self) -> set[int]:
         seen = {self.start}
         todo = [self.start]
@@ -101,27 +92,6 @@ class Nfa:
 
     def is_empty(self) -> bool:
         return not (self.reachable() & self.finals)
-
-    def enumerate_upto(self, k: int, cap: int = 1_000_000) -> set[tuple]:
-        """All accepted strings of length at most k (fails above ``cap``)."""
-        out: set[tuple] = set()
-        start = self.eps_closure({self.start})
-
-        def go(cur: frozenset[int], prefix: tuple):
-            if any(q in self.finals for q in cur):
-                out.add(prefix)
-                if len(out) > cap:
-                    raise ValueError("enumeration exceeds cap")
-            if len(prefix) == k:
-                return
-            syms = set()
-            for q in cur:
-                syms.update(sym for sym in self.trans.get(q, {}) if sym != EPS)
-            for sym in sorted(syms):
-                go(self.step(cur, sym), prefix + (sym,))
-
-        go(start, ())
-        return out
 
     # -- transformations ----------------------------------------------------
 
@@ -181,12 +151,6 @@ class Nfa:
             m.add(remap[src], sym, remap[dst])
         return m
 
-    def prefix_closed(self) -> "Nfa":
-        """Automaton for all prefixes of accepted strings."""
-        m = self.trim()
-        m.finals = set(range(m.n)) if not m.is_empty() else set()
-        return m
-
     def determinize(self, alphabet) -> "Nfa":
         """Complete DFA over ``alphabet`` (as an Nfa with singleton moves)."""
         alphabet = sorted(alphabet)
@@ -241,11 +205,6 @@ class Nfa:
             for sym, r in zip(alphabet, row):
                 m.add(block[q], sym, block[r])
         return m
-
-    def complement(self, alphabet) -> "Nfa":
-        d = self.determinize(alphabet)
-        d.finals = set(range(d.n)) - d.finals
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +321,3 @@ def intersect_nonempty(a: Nfa, b: Nfa) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return False
-
-
-def equivalent(a: Nfa, b: Nfa, alphabet) -> bool:
-    alphabet = sorted(set(alphabet) | a.symbols() | b.symbols())
-    only_a = intersect(a, b.complement(alphabet))
-    only_b = intersect(b, a.complement(alphabet))
-    return only_a.is_empty() and only_b.is_empty()

@@ -63,32 +63,6 @@ class Star(Regex):
     inner: Regex
 
 
-def regex_to_text(r: Regex) -> str:
-    def prec(x: Regex) -> int:
-        if isinstance(x, Alt):
-            return 0
-        if isinstance(x, Cat):
-            return 1
-        return 2
-
-    def go(x: Regex, level: int) -> str:
-        if isinstance(x, Eps):
-            s = "eps"
-        elif isinstance(x, Sym):
-            s = x.sym
-        elif isinstance(x, Alt):
-            s = " + ".join(go(p, 0) for p in x.parts)
-        elif isinstance(x, Cat):
-            s = "".join(go(p, 1) for p in x.parts)
-        elif isinstance(x, Star):
-            s = go(x.inner, 2) + "*"
-        else:
-            raise TypeError(f"not a regex node: {x!r}")
-        return f"({s})" if prec(x) < level else s
-
-    return go(r, 0)
-
-
 def regex_to_nfa(r: Regex) -> Nfa:
     if isinstance(r, Eps):
         return from_strings([()])

@@ -115,19 +115,6 @@ class DemandGrammar:
     def declare(self, nt: NonTerm) -> None:
         self.declared[nt] = None
 
-    def by_lhs(self) -> dict[NonTerm, list[Body]]:
-        out: dict[NonTerm, list[Body]] = {}
-        for lhs, body in self.productions:
-            out.setdefault(lhs, []).append(body)
-        return out
-
-    def nonterminals(self) -> set[NonTerm]:
-        nts = set(self.declared)
-        for lhs, body in self.productions:
-            nts.add(lhs)
-            nts.update(item for item in body if is_nonterm(item))
-        return nts
-
     def copy(self) -> "DemandGrammar":
         return DemandGrammar(dict(self.productions), dict(self.declared))
 

@@ -216,12 +216,6 @@ def observe(value: Value, heap: dict[int, tuple[Value, Value]],
     return ("int", v)
 
 
-def project(value: Value, heap: dict[int, tuple[Value, Value]],
-            paths) -> dict[tuple[int, ...], object]:
-    """Observations of a value at every path in a set of paths."""
-    return {tuple(pth): observe(value, heap, tuple(pth)) for pth in paths}
-
-
 def to_py(value: Value, heap: dict[int, tuple[Value, Value]],
           depth: int = 10_000):
     """Convert a value to nested Python data, for test assertions.

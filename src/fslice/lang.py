@@ -164,13 +164,6 @@ class Program:
                 return d
         raise ValidateError("program has no main function")
 
-    def fun(self, name: str) -> FunDef:
-        for d in self.defs:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
-
 Label = int
 
 
@@ -244,10 +237,6 @@ def iter_labeled(p: Program):
 
 def all_labels(p: Program) -> list[int]:
     return [lab for lab, _, _ in iter_labeled(p)]
-
-
-def label_index(p: Program) -> dict[int, tuple[str, object]]:
-    return {lab: (kind, node) for lab, kind, node in iter_labeled(p)}
 
 
 def use_index(d: FunDef) -> dict[str, list[Occ]]:

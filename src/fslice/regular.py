@@ -9,12 +9,14 @@ Pipeline pieces, in the order the slicer uses them:
   compiled exactly. A mixed one, in practice the summary of a recursive
   function, is first widened in place (Mohri & Nederhof, 2001), with one
   continuation nonterminal per member, into a right-linear group that
-  over-approximates it. References in tail position become epsilon jumps
-  into the shared automaton; a nonterminal referenced before the end of a
-  body (or any member of a left-linear group) is spliced in as a fresh copy
-  of its group's self-contained fragment. Such references always point
-  into strictly lower components, so fragment construction is
-  well-founded. ``mn_transform`` prints the widened grammar.
+  over-approximates it. Bodies compile last item first, so each item's edge
+  leads straight to the state where the rest of the body starts. A
+  reference in tail position is the referenced state itself; a nonterminal
+  referenced before the end of a body (or any member of a left-linear
+  group) is spliced in as a fresh copy of its group's self-contained
+  fragment, ending at that state. Such references always point into
+  strictly lower components, so fragment construction is well-founded.
+  ``mn_transform`` prints the widened grammar.
 
 * ``cancel_pairs`` saturates an automaton with the Dyck-style cancellation
   relation: state pairs connected by some path whose labels erase under
@@ -65,16 +67,6 @@ def _rules(g: DemandGrammar) -> dict[NonTerm, dict[Body, None]]:
             if is_nonterm(item):
                 rules.setdefault(item, {})
     return rules
-
-
-def scc_partition(g: DemandGrammar):
-    """Strongly connected components of the nonterminal reference graph.
-
-    Returns (components, component-id per nonterminal); components come out
-    dependencies-first, so they can be processed bottom-up in list order.
-    """
-    sccs = _tarjan(_rules(g))
-    return sccs, {nt: cid for cid, comp in enumerate(sccs) for nt in comp}
 
 
 def _tarjan(rules: dict[NonTerm, dict[Body, None]]) -> list[list[NonTerm]]:
@@ -210,16 +202,17 @@ def mn_transform(g: DemandGrammar) -> DemandGrammar:
 class _Fragment:
     nfa: Nfa
     entry: dict[NonTerm, int]
-    exit: dict[NonTerm, int]
+    exit: dict[NonTerm, int] | None  # None: right-linear, every exit is 0
 
 
 class CompiledGrammar:
     """NFA form of a demand grammar, widened where it is not regular.
 
     ``aut`` is the shared automaton: ``entry[nt]`` is the state whose
-    language (to the single final state) is L(nt), for every nonterminal of
-    a right-linear or widened group. Left-linear members are reachable only
-    via ``nfa``, which splices their fragment on demand.
+    language (to the single final state 0) is L(nt), for every nonterminal
+    of a right-linear or widened group. It is built like any right-linear
+    fragment, from all those groups at once. Left-linear members are
+    reachable only via ``nfa``, which splices their fragment on demand.
     """
 
     def __init__(self, g: DemandGrammar):
@@ -227,18 +220,10 @@ class CompiledGrammar:
         self._group_of = {nt: gid for gid, (members, _) in
                           enumerate(self._groups) for nt in members}
         self._fragments: dict[int, _Fragment] = {}
-
-        self.aut = Nfa(1, 0)
+        self.aut, self.entry = self._right_linear(
+            [nt for members, left in self._groups if not left
+             for nt in members])
         self.final = 0
-        self.entry: dict[NonTerm, int] = {}
-        for members, left in self._groups:
-            if not left:
-                for nt in members:
-                    self.entry[nt] = self.aut.add_state()
-        for nt, state in self.entry.items():
-            for body in self._rules[nt]:
-                self._compile_body(self.aut, state, body, self.final,
-                                   self.entry)
         self.aut.finals = {self.final}
 
     # -- fragments -----------------------------------------------------------
@@ -265,55 +250,69 @@ class CompiledGrammar:
                 self._fragments[sub] = self._build(sub)
         return self._fragments[gid]
 
+    def _right_linear(self, members) -> tuple[Nfa, dict[NonTerm, int]]:
+        """The automaton of right-linear ``members`` and their entry states:
+        each member's language leads to state 0, which has no moves."""
+        m = Nfa(1, 0)
+        state = {nt: m.add_state() for nt in members}
+        for nt in members:
+            for body in self._rules[nt]:
+                self._compile_body(m, state[nt], body, 0, state)
+        return m, state
+
     def _build(self, gid: int) -> _Fragment:
+        """The fragment of one group. A right-linear one is built like
+        ``aut``; a left-linear one starts at state 0, and each member's
+        language leads to the member's own state."""
         members, left = self._groups[gid]
-        m = Nfa(0, 0)
         if not left:
-            state = {nt: m.add_state() for nt in members}
-            f = m.add_state()
-            for nt in members:
-                for body in self._rules[nt]:
-                    self._compile_body(m, state[nt], body, f, state)
-            return _Fragment(m, state, dict.fromkeys(members, f))
-        init = m.add_state()
+            return _Fragment(*self._right_linear(members), None)
+        m = Nfa(1, 0)
         state = {nt: m.add_state() for nt in members}
         for nt in members:
             for body in self._rules[nt]:
                 if body and body[0] in state:
                     src, rest = state[body[0]], body[1:]
                 else:
-                    src, rest = init, body
+                    src, rest = 0, body
                 self._compile_body(m, src, rest, state[nt], {})
-        return _Fragment(m, dict.fromkeys(members, init), state)
+        return _Fragment(m, dict.fromkeys(members, 0), state)
 
-    def _splice(self, dst: Nfa, src_state: int, nt: NonTerm, tgt: int):
+    def _splice(self, dst: Nfa, nt: NonTerm, tgt: int) -> int:
+        """Copy ``nt``'s fragment into ``dst`` so that it ends at ``tgt``;
+        returns the copy's entry. A right-linear fragment's exit has no
+        moves, so the copy's exit is ``tgt`` itself; a left-linear one's
+        gets an epsilon edge to ``tgt``."""
         frag = self._fragment(self._group_of[nt])
-        off = dst.n
-        dst.n += frag.nfa.n
+        left = frag.exit is not None
+        off = dst.n if left else dst.n - 1  # a right-linear state 0 is tgt
+        dst.n = off + frag.nfa.n
         for s, sym, t in frag.nfa.edges():
-            dst.add(s + off, sym, t + off)
-        dst.add(src_state, EPS, frag.entry[nt] + off)
-        dst.add(frag.exit[nt] + off, EPS, tgt)
+            dst.add(s + off, sym, t + off if t or left else tgt)
+        if left:
+            dst.add(frag.exit[nt] + off, EPS, tgt)
+        return frag.entry[nt] + off
 
     def _compile_body(self, m: Nfa, src: int, body, final: int,
                       jump: dict[NonTerm, int]):
-        """Compile ``src -body-> final``: a last nonterminal with a state in
-        ``jump`` becomes an epsilon edge to it, any other one a splice."""
-        if not body:
-            m.add(src, EPS, final)
-            return
-        cur = src
-        for i, item in enumerate(body):
-            last = i == len(body) - 1
-            if last and item in jump:
-                m.add(cur, EPS, jump[item])
-                return
-            tgt = final if last else m.add_state()
-            if is_nonterm(item):
-                self._splice(m, cur, item, tgt)
+        """Compile ``src -body-> final``, last item first, so that every item
+        gets an edge straight to the state where the rest of the body
+        starts. A last nonterminal with a state in ``jump`` is that state;
+        any other nonterminal is spliced. Only an empty body, a lone tail
+        reference and a body that starts with a splice leave ``src`` by an
+        epsilon edge (none if it would loop on ``src``)."""
+        rest = final
+        if body and body[-1] in jump:
+            rest, body = jump[body[-1]], body[:-1]
+        for i in range(len(body) - 1, -1, -1):
+            if is_nonterm(body[i]):
+                rest = self._splice(m, body[i], rest)
             else:
-                m.add(cur, item, tgt)
-            cur = tgt
+                start = src if i == 0 else m.add_state()
+                m.add(start, body[i], rest)
+                rest = start
+        if rest != src:
+            m.add(src, EPS, rest)
 
     # -- extraction -----------------------------------------------------------
 
@@ -354,24 +353,19 @@ def cancel_pairs(m: Nfa) -> set[tuple[int, int]]:
     closures that contain it. A new derived pair (a, c) extends only the
     closures that contain a, so each (closure, state) step is taken once,
     instead of recomputing every closure per round until nothing changes.
-    Closures skip states whose one move is an epsilon edge (most of a
-    compiled grammar's states): such a state reaches what its chain's end
-    reaches, and it neither reads a selector nor gains derived edges.
     """
-    hop = _chain_ends(m)
     adj: dict[int, list[int]] = {}  # epsilon edges, then derived ones
     bars_into: dict[int, list[tuple[int, str]]] = {}
     watchers: dict[int, list[int]] = {}  # p -> the closures that reach p
     for p, sym, x in m.edges():
         if sym == EPS:
-            if p not in hop:
-                adj.setdefault(p, []).append(hop.get(x, x))
+            adj.setdefault(p, []).append(x)
         elif sym in _SEL_FOR_BAR:
             bars_into.setdefault(x, []).append((p, _SEL_FOR_BAR[sym]))
             watchers[p] = []
     reached: dict[int, set[int]] = {x: set() for x in bars_into}
     pairs: set[tuple[int, int]] = set()
-    todo = [(x, hop.get(x, x)) for x in bars_into]  # (closure, new state)
+    todo = [(x, x) for x in bars_into]  # (closure, new state)
     while todo:
         x, y = todo.pop()
         seen = reached[x]
@@ -394,33 +388,10 @@ def cancel_pairs(m: Nfa) -> set[tuple[int, int]]:
                 for q in out.get(sel, ()):
                     if (p, q) not in pairs:
                         pairs.add((p, q))
-                        q = hop.get(q, q)
                         adj.setdefault(p, []).append(q)
                         todo.extend((w, q) for w in watchers[p]
                                     if q not in reached[w])
     return pairs
-
-
-def _chain_ends(m: Nfa) -> dict[int, int]:
-    """Each state whose one move is an epsilon edge -> the first state down
-    its chain of such states that has other moves, or none. On a cycle of
-    such states, one member stands for the cycle: the others map to it, and
-    it is left out."""
-    nxt = {}
-    for p, out in m.trans.items():
-        if len(out) == 1 and len(out.get(EPS, ())) == 1:
-            (nxt[p],) = out[EPS]
-    ends: dict[int, int] = {}
-    for p in nxt:
-        path = []
-        while p in nxt and p not in ends:
-            ends[p] = p  # stands for the end if the chain comes back here
-            path.append(p)
-            p = nxt[p]
-        end = ends.get(p, p)
-        for q in path:
-            ends[q] = end
-    return {p: end for p, end in ends.items() if p != end}
 
 
 def _with_cancel(m: Nfa) -> Nfa:

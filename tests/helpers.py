@@ -1,4 +1,5 @@
-"""Shared criterion pools, the residual soundness check, and a timer."""
+"""Shared criterion pools, the residual soundness check, a timer, and
+small views of programs, regexes and values."""
 
 from __future__ import annotations
 
@@ -8,11 +9,12 @@ import time
 from random import Random
 
 from fslice.automata import Nfa, from_strings
-from fslice.criteria import parse_criterion
+from fslice.criteria import Alt, Cat, Eps, Regex, Star, Sym, parse_criterion
 from fslice.demand import SEL0, SEL1
 from fslice.interp import InterpError, observe, run
+from fslice.lang import FunDef, Program, iter_labeled
 
-from oracles import format_dset, prefix_close, to_path
+from oracles import enumerate_upto, format_dset, prefix_close, to_path
 
 SEED = int(os.environ.get("FSLICE_SEED", "20260814"))
 
@@ -67,7 +69,7 @@ def random_finite_criteria(count: int, maxlen: int = 5,
 
 
 def criterion_strings(crit: Nfa, maxlen: int = 6) -> set[tuple]:
-    return crit.enumerate_upto(maxlen)
+    return enumerate_upto(crit, maxlen)
 
 
 def check_soundness(original, residual, crit: Nfa, maxlen: int = 6, *,
@@ -102,3 +104,45 @@ def median_ms(fn, runs: int) -> float:
         fn()
         times.append((time.perf_counter() - t0) * 1000.0)
     return statistics.median(times)
+
+
+def label_index(p: Program) -> dict[int, tuple[str, object]]:
+    return {lab: (kind, node) for lab, kind, node in iter_labeled(p)}
+
+
+def fun(p: Program, name: str) -> FunDef:
+    for d in p.defs:
+        if d.name == name:
+            return d
+    raise KeyError(name)
+
+
+def project(value, heap, paths) -> dict[tuple[int, ...], object]:
+    """Observations of a value at every path in a set of paths."""
+    return {tuple(pth): observe(value, heap, tuple(pth)) for pth in paths}
+
+
+def regex_to_text(r: Regex) -> str:
+    def prec(x: Regex) -> int:
+        if isinstance(x, Alt):
+            return 0
+        if isinstance(x, Cat):
+            return 1
+        return 2
+
+    def go(x: Regex, level: int) -> str:
+        if isinstance(x, Eps):
+            s = "eps"
+        elif isinstance(x, Sym):
+            s = x.sym
+        elif isinstance(x, Alt):
+            s = " + ".join(go(p, 0) for p in x.parts)
+        elif isinstance(x, Cat):
+            s = "".join(go(p, 1) for p in x.parts)
+        elif isinstance(x, Star):
+            s = go(x.inner, 2) + "*"
+        else:
+            raise TypeError(f"not a regex node: {x!r}")
+        return f"({s})" if prec(x) < level else s
+
+    return go(r, 0)

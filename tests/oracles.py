@@ -9,6 +9,9 @@ never ship.
   string (``simplify_str``, ``canonicalize_str``), with the set, path and
   notation helpers the tests build on. The tests check it against the
   rewrite oracle, and the library's automata against it.
+* Language-level queries the library does not need: acceptance, bounded
+  enumeration, prefix closure, complement and equivalence of automata,
+  and a grammar's nonterminals, rules by left-hand side and components.
 * ``bounded_languages`` / ``eval_finite``: every short string a demand
   grammar derives, by a truncated fixpoint.
 * ``simplify_nfa``: S lifted to automata, the counterpart of the library's
@@ -27,11 +30,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from fslice.automata import EPS, Nfa
+from fslice.automata import EPS, Nfa, intersect
 from fslice.demand import ALPHABET, BAR0, BAR1, SEL0, SEL1, SEL_OF, SELECTORS, TWO
 from fslice.grammar import DemandGrammar, NonTerm, is_nonterm, nt_d, production_key
 from fslice.lang import Expr, FsliceError, If, Occ, Return, app_occs, iter_exprs
-from fslice.regular import cancel_pairs, tail_states
+from fslice.regular import _rules, _tarjan, cancel_pairs, tail_states
 
 # The end marker: the rewrite oracle appends it to every string it
 # simplifies, and debug notation may write it.
@@ -299,6 +302,79 @@ def all_strings_upto(alphabet, k: int) -> list[DStr]:
 
 
 # ---------------------------------------------------------------------------
+# Automata and grammars by their languages
+# ---------------------------------------------------------------------------
+
+def accepts(m: Nfa, s) -> bool:
+    cur = m.eps_closure({m.start})
+    for sym in s:
+        cur = m.step(cur, sym)
+        if not cur:
+            return False
+    return any(q in m.finals for q in cur)
+
+
+def enumerate_upto(m: Nfa, k: int, cap: int = 1_000_000) -> set[tuple]:
+    """All strings ``m`` accepts of length at most k (fails above ``cap``)."""
+    out: set[tuple] = set()
+
+    def go(cur: frozenset[int], prefix: tuple):
+        if any(q in m.finals for q in cur):
+            out.add(prefix)
+            if len(out) > cap:
+                raise ValueError("enumeration exceeds cap")
+        if len(prefix) == k:
+            return
+        syms = {sym for q in cur for sym in m.trans.get(q, {}) if sym != EPS}
+        for sym in sorted(syms):
+            go(m.step(cur, sym), prefix + (sym,))
+
+    go(m.eps_closure({m.start}), ())
+    return out
+
+
+def prefix_closed(m: Nfa) -> Nfa:
+    """Automaton for all prefixes of the strings ``m`` accepts."""
+    t = m.trim()
+    t.finals = set(range(t.n)) if not t.is_empty() else set()
+    return t
+
+
+def complement(m: Nfa, alphabet) -> Nfa:
+    d = m.determinize(alphabet)
+    d.finals = set(range(d.n)) - d.finals
+    return d
+
+
+def equivalent(a: Nfa, b: Nfa, alphabet) -> bool:
+    alphabet = sorted(set(alphabet) | a.symbols() | b.symbols())
+    return (intersect(a, complement(b, alphabet)).is_empty()
+            and intersect(b, complement(a, alphabet)).is_empty())
+
+
+def nonterminals(g: DemandGrammar) -> set[NonTerm]:
+    nts = set(g.declared)
+    for lhs, body in g.productions:
+        nts.add(lhs)
+        nts.update(item for item in body if is_nonterm(item))
+    return nts
+
+
+def by_lhs(g: DemandGrammar) -> dict[NonTerm, list]:
+    out: dict[NonTerm, list] = {}
+    for lhs, body in g.productions:
+        out.setdefault(lhs, []).append(body)
+    return out
+
+
+def scc_partition(g: DemandGrammar):
+    """Strongly connected components of the nonterminal reference graph,
+    dependencies first, and the component id of every nonterminal."""
+    sccs = _tarjan(_rules(g))
+    return sccs, {nt: cid for cid, comp in enumerate(sccs) for nt in comp}
+
+
+# ---------------------------------------------------------------------------
 # Bounded enumeration of demand grammars
 # ---------------------------------------------------------------------------
 
@@ -310,7 +386,7 @@ def bounded_languages(g: DemandGrammar, maxlen: int,
     concatenations loses nothing, because partial concatenations are
     substrings of the final yield and so never longer than it.
     """
-    lang: dict[NonTerm, set] = {nt: set() for nt in g.nonterminals()}
+    lang: dict[NonTerm, set] = {nt: set() for nt in nonterminals(g)}
     prods = sorted(g.productions, key=production_key)
     total = 0
     changed = True

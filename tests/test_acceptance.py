@@ -29,7 +29,8 @@ from helpers import (
 )
 from oracles import (
     bounded_languages, canonicalize, canonicalize_str, concat,
-    count_prefix_closed, enumerate_prefix_closed, format_dset, simplify,
+    count_prefix_closed, enumerate_prefix_closed, enumerate_upto, format_dset,
+    simplify,
     simplify_nfa, simplify_str,
 )
 
@@ -102,7 +103,7 @@ def test_criterion_04_criterion_acts_as_a_suffix(corpus):
             instantiate(g, criterion_nfa({()})), maxlen)
         for cname, crit in criteria_pool():
             sig_langs = bounded_languages(instantiate(g, crit), maxlen)
-            sigma = crit.enumerate_upto(maxlen)
+            sigma = enumerate_upto(crit, maxlen)
             for lab in all_labels(p):
                 want = {a + s for a in eps_langs[nt_d(lab)] for s in sigma
                         if len(a) + len(s) <= maxlen}
@@ -148,19 +149,19 @@ def test_criterion_05_nfa_transforms_agree_with_string_functions(corpus):
     assert canonicalize_str(WORKED) == WORKED_CANONICAL
     one = from_strings([WORKED])
     assert simplify_nfa(one).trim().is_empty()
-    assert canonicalize_nfa(one).enumerate_upto(11) == {WORKED_CANONICAL}
+    assert enumerate_upto(canonicalize_nfa(one), 11) == {WORKED_CANONICAL}
 
     for name in sorted(corpus):
         p = corpus[name]
         cg = CompiledGrammar(mn_transform(generate_equations(p)))
         for lab in sorted(all_labels(p)):
             m = cg.nfa(nt_d(lab))
-            strings = m.enumerate_upto(8)
+            strings = enumerate_upto(m, 8)
             finite = from_strings(sorted(strings))
             s_want = simplify(strings)
             c_want = canonicalize(strings)
-            assert simplify_nfa(finite).enumerate_upto(8) == s_want, (name, lab)
-            assert canonicalize_nfa(finite).enumerate_upto(8) == c_want, (name, lab)
+            assert enumerate_upto(simplify_nfa(finite), 8) == s_want, (name, lab)
+            assert enumerate_upto(canonicalize_nfa(finite), 8) == c_want, (name, lab)
             simp_accepts = _acceptor(simplify_nfa(m))
             canon_accepts = _acceptor(canonicalize_nfa(m))
             assert all(simp_accepts(s) for s in s_want), (name, lab)

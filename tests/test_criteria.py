@@ -4,22 +4,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fslice.automata import EPS, equivalent, from_strings
+from fslice.automata import EPS, from_strings
 from fslice.criteria import (
     Alt, Cat, CriterionError, Eps, Star, Sym, parse_criterion, parse_regex,
-    regex_to_nfa, regex_to_text, validate_criterion,
+    regex_to_nfa, validate_criterion,
 )
 from fslice.demand import SEL0, SEL1
 from fslice.slicer import slice_noninc
 
-from helpers import FINITE_CRITERIA, REGEX_CRITERIA
-from oracles import prefix_close
+from helpers import FINITE_CRITERIA, REGEX_CRITERIA, regex_to_text
+from oracles import enumerate_upto, equivalent, prefix_close
 
 AB = (SEL0, SEL1)
 
 
 def lang(m, k=6):
-    return m.enumerate_upto(k)
+    return enumerate_upto(m, k)
 
 
 def regex_text(strings) -> str:

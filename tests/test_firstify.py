@@ -6,13 +6,12 @@ import pytest
 from fslice.firstify import FirstifyUnsupported, firstify, map_back
 from fslice.interp import observe, run, to_py
 from fslice.lang import (
-    Call, Hole, all_labels, label_index, parse_program, print_program,
-    validate,
+    Call, Hole, all_labels, parse_program, print_program, validate,
 )
 from fslice.slicer import extract_residual, slice_noninc
 
 from conftest import golden
-from helpers import check_soundness, criterion_nfa
+from helpers import check_soundness, criterion_nfa, fun, label_index
 from ho_eval import ho_run
 
 # Frozen results of the higher-order corpus, in nested Python form.
@@ -52,7 +51,7 @@ def test_hof_firstified_golden(ho_corpus):
 def test_chain_flattens_nested_partials(ho_corpus):
     fo, _ = firstify(ho_corpus["chain"])
     assert sorted(d.name for d in fo.defs) == ["add3", "main"]
-    main = fo.fun("main")
+    main = fun(fo, "main")
     calls = [n for _, (k, n) in label_index(fo).items()
              if k == "app" and isinstance(n, Call)]
     assert len(calls) == 1
@@ -69,7 +68,7 @@ def test_mapadd_threads_captures_through_recursion(ho_corpus):
     fo, _ = firstify(ho_corpus["mapadd"])
     assert sorted(d.name for d in fo.defs) == [
         "add", "main", "mapf_add", "mapf_car"]
-    clone = fo.fun("mapf_add")
+    clone = fun(fo, "mapf_add")
     assert clone.params == ["l", "cap0"]
     rec = [n for _, (k, n) in label_index(fo).items()
            if k == "app" and isinstance(n, Call) and n.fn == "mapf_add"]
@@ -151,7 +150,7 @@ def test_hof_tail_mapped_back_marks_the_partial_constituents(ho_corpus):
     assert keep_src[partial.label]
     assert keep_src[partial.args[0].label]
     assert keep_src[partial.args[1].label]
-    fun_apps = [e.rhs.label for e in _lets(p.fun("fun").body)]
+    fun_apps = [e.rhs.label for e in _lets(fun(p, "fun").body)]
     assert all(keep_src[lab] for lab in fun_apps)
 
 
@@ -180,7 +179,7 @@ def test_first_order_programs_firstify_to_themselves(corpus):
         fo, lm = firstify(p)
         assert {d.name for d in fo.defs} == {d.name for d in p.defs}
         for d in fo.defs:
-            assert d == p.fun(d.name), (name, d.name)
+            assert d == fun(p, d.name), (name, d.name)
         keep_src = map_back({lab: True for lab in all_labels(fo)}, lm, p)
         assert all(keep_src.values()), name
 

@@ -11,7 +11,7 @@ from fslice.grammar import (
 from fslice.lang import all_labels, parse_program, validate
 
 from helpers import criterion_nfa
-from oracles import bounded_languages, eval_finite
+from oracles import bounded_languages, by_lhs, eval_finite, nonterminals
 from test_lang import deep_let_chain
 
 EPS_CRIT = frozenset({()})
@@ -109,8 +109,8 @@ def test_criterion_acts_as_a_suffix(corpus):
 def test_every_label_has_a_demand_nonterminal(corpus):
     for name, p in corpus.items():
         g = generate_equations(p)
-        nts = g.nonterminals()
-        by = g.by_lhs()
+        nts = nonterminals(g)
+        by = by_lhs(g)
         for lab in all_labels(p):
             assert nt_d(lab) in nts, (name, lab)
             assert by[nt_d(lab)], (name, lab)
@@ -152,14 +152,14 @@ def test_grammar_copy_is_independent(straight):
     g = generate_equations(straight)
     c = g.copy()
     c.add(("Fn", "extra"), ())
-    assert ("Fn", "extra") not in g.nonterminals()
-    assert ("Fn", "extra") in c.nonterminals()
+    assert ("Fn", "extra") not in nonterminals(g)
+    assert ("Fn", "extra") in nonterminals(c)
 
 
 def test_deep_let_chain_generates_without_recursion():
     p = deep_let_chain(5000)
     g = generate_equations(p)
-    assert {nt_d(lab) for lab in all_labels(p)} <= g.nonterminals()
+    assert {nt_d(lab) for lab in all_labels(p)} <= nonterminals(g)
     first = p.main.body
     cons = first.body.rhs  # the uses of the first let's variable
     for occ in (cons.head, cons.tail):

@@ -3,10 +3,11 @@
 import pytest
 
 from fslice.interp import (
-    NIL, FuelExhausted, HoleObserved, Loc, StuckError, observe, project, run,
-    to_py,
+    NIL, FuelExhausted, HoleObserved, Loc, StuckError, observe, run, to_py,
 )
 from fslice.lang import parse_program
+
+from helpers import project
 
 # Results of every corpus program, frozen as nested Python data: pairs are
 # 2-tuples and nil is None. Recomputing any of these by hand only needs the

@@ -7,11 +7,12 @@ from fslice.gen import generate_program
 from fslice.lang import (
     Cons, Const, FunDef, Hole, If, Let, Occ, ParseError, Program, Return,
     ValidateError, all_labels, app_occs, assign_labels, iter_exprs,
-    iter_labeled, label_index, label_name, parse_label_name, parse_program,
+    iter_labeled, label_name, parse_label_name, parse_program,
     print_program, use_index, validate,
 )
 
 from conftest import corpus_paths, ho_paths, load
+from helpers import fun, label_index
 from oracles import occurrences_of
 
 SMALL = """
@@ -87,7 +88,7 @@ def test_hole_parameter_parses_and_prints():
            "  (let r ← (f x y) in\n"
            "  (return r)))))")
     p = validate(parse_program(src))
-    assert p.fun("f").params == [None, "b"]
+    assert fun(p, "f").params == [None, "b"]
     assert "(f □ b)" in print_program(p)
 
 
@@ -191,7 +192,7 @@ def test_deep_let_chain_walks_without_recursion():
 
 def test_occurrences_of_collects_in_order():
     p = parse_program(SMALL)
-    add2 = p.fun("add2")
+    add2 = fun(p, "add2")
     assert [o.name for o in occurrences_of("a", add2.body)] == ["a"]
     assert [o.label for o in occurrences_of("s", add2.body)] != [None]
 

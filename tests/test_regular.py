@@ -22,14 +22,14 @@ from fslice.grammar import (
 from fslice.lang import all_labels
 from fslice.regular import (
     CompiledGrammar, cancel_pairs, canonicalize_nfa,
-    mn_transform, scc_partition, tail_states,
+    mn_transform, tail_states,
 )
 from fslice.slicer import _keep_map
 
 from helpers import FINITE_CRITERIA, criteria_pool, criterion_nfa
 from oracles import (
     NotCanonical, bounded_languages, create_completing_automaton,
-    is_canonical_nfa, simplify_nfa,
+    enumerate_upto, is_canonical_nfa, scc_partition, simplify_nfa,
 )
 from test_demand import WORKED, WORKED_CANONICAL
 
@@ -40,7 +40,7 @@ demand_sets = st.frozensets(
 
 
 def lang(m: Nfa, k: int = 8) -> set[tuple]:
-    return m.enumerate_upto(k)
+    return enumerate_upto(m, k)
 
 
 # -- SCC analysis and the transform ------------------------------------------
@@ -80,8 +80,34 @@ def test_left_linear_compiles_exactly():
     g.add(A, (B, SEL0))
     g.add(A, ())
     g.add(B, (A, SEL1))
+    g.add(X, (A, TWO))
     cg = CompiledGrammar(g)
     assert lang(cg.nfa(A), 6) == {(SEL1, SEL0) * k for k in range(4)}
+    assert lang(cg.nfa(X), 5) == {(SEL1, SEL0) * k + (TWO,) for k in range(3)}
+
+
+def _epsilon_edges(m: Nfa) -> list[tuple[int, int]]:
+    return [(p, q) for p, sym, q in m.edges() if sym == EPS]
+
+
+def test_symbols_before_a_tail_reference_lead_straight_to_it():
+    g = DemandGrammar()
+    g.add(X, (SEL0, A))
+    g.add(A, (SEL1, A))
+    g.add(A, (TWO,))
+    cg = CompiledGrammar(g)
+    assert _epsilon_edges(cg.aut) == []
+    assert lang(cg.nfa(X), 4) == {(SEL0,) + (SEL1,) * k + (TWO,)
+                                  for k in range(3)}
+
+
+def test_a_spliced_copy_ends_on_the_rest_of_the_body():
+    g = DemandGrammar()
+    g.add(X, (A, SEL1))
+    g.add(A, (SEL0,))
+    cg = CompiledGrammar(g)
+    assert [p for p, _ in _epsilon_edges(cg.aut)] == [cg.entry[X]]
+    assert lang(cg.nfa(X)) == {(SEL0, SEL1)}
 
 
 def test_self_embedding_needs_the_transform():
@@ -284,9 +310,10 @@ def test_cancel_pairs_cross_epsilon():
 
 
 def _lone_epsilon_moves() -> Nfa:
-    """Chains and a cycle of states whose one move is an epsilon edge,
-    which the worklist skips: the derived pair (1, 3) leads into the chain
-    3, 5, 6 that ends in the selector giving (0, 7); 8 and 9 loop."""
+    """Chains and a cycle of states whose one move is an epsilon edge, as a
+    compiled grammar has where a body is one tail reference or starts with
+    a splice: the derived pair (1, 3) leads into the chain 3, 5, 6 that
+    ends in the selector giving (0, 7); 8 and 9 loop."""
     m = Nfa(10, 0)
     m.add(0, BAR1, 1)
     m.add(1, BAR0, 2)
@@ -418,7 +445,7 @@ def test_is_canonical_nfa_rejects_selector_after_bar():
 ])
 def test_completing_automaton_hand_cases(strings, want):
     comp = create_completing_automaton(from_strings(strings))
-    assert comp.enumerate_upto(5) == want
+    assert enumerate_upto(comp, 5) == want
 
 
 def test_completing_automaton_requires_canonical_input():
@@ -442,4 +469,4 @@ def test_completing_decisions_match_the_oracle(strings):
 def test_completion_cores_are_bar_suffixes_reversed():
     strings = {(SEL0, TWO, BAR1, BAR0), (SEL1,), (TWO, BAR1)}
     comp = create_completing_automaton(from_strings(strings))
-    assert comp.enumerate_upto(5) == {(SEL0, SEL1), (), (SEL1,)}
+    assert enumerate_upto(comp, 5) == {(SEL0, SEL1), (), (SEL1,)}

@@ -6,14 +6,13 @@ import pytest
 import json
 from itertools import combinations
 
-from fslice.automata import equivalent, from_strings
+from fslice.automata import from_strings
 from fslice.criteria import CriterionError
 from fslice.demand import SEL0, SEL1
 from fslice.gen import generate_program
 from fslice.grammar import generate_equations, instantiate, nt_d
 from fslice.lang import (
-    FsliceError, Hole, all_labels, label_index, parse_program,
-    print_program, validate,
+    FsliceError, Hole, all_labels, parse_program, print_program, validate,
 )
 from fslice.regular import CompiledGrammar, canonicalize_nfa, mn_transform
 from fslice.slicer import (
@@ -24,8 +23,10 @@ from fslice.slicer import (
 )
 
 from conftest import golden
-from helpers import criteria_pool, criterion_nfa, check_soundness
-from oracles import create_completing_automaton
+from helpers import (
+    check_soundness, criteria_pool, criterion_nfa, fun, label_index,
+)
+from oracles import create_completing_automaton, equivalent
 
 POOL = criteria_pool()
 
@@ -158,7 +159,7 @@ def test_uncalled_function_is_never_kept():
     art = precompute(p)
     full = dict(POOL)["(0+1)*"]
     keep = slice_inc(p, art, full).keep
-    ghost = p.fun("ghost")
+    ghost = fun(p, "ghost")
     for lab in (ghost.body.label, ghost.body.rhs.label):
         assert not keep[lab]
         assert art.automata[lab].is_empty()
@@ -205,7 +206,7 @@ def test_extract_residual_drops_dead_parameters():
     for lab in occ_v:
         keep[lab] = False
     r = extract_residual(p, keep)
-    assert r.fun("f").params == ["u", None]
+    assert fun(r, "f").params == ["u", None]
     validate(r)
 
 
@@ -221,10 +222,10 @@ def test_extract_residual_keeps_param_used_as_callee():
     p = validate(parse_program(src), higher_order=True)
     keep = {lab: True for lab in all_labels(p)}
     r = extract_residual(p, keep)
-    assert r.fun("apply1").params == ["g", "x"]
+    assert fun(r, "apply1").params == ["g", "x"]
     keep[1] = False
     r2 = extract_residual(p, keep)
-    assert r2.fun("apply1").params[0] is None
+    assert fun(r2, "apply1").params[0] is None
 
 
 # -- artifacts --------------------------------------------------------------------
